@@ -67,12 +67,11 @@ class ComponentInvariants:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named non-negative lower bound with its inputs echoed back."""
+    """A named non-negative lower bound with the details its rendering prints."""
 
     bound_name: str
     value: int
     omega: TorusPoint | None = None
-    inputs: dict = field(default_factory=dict)
     parity_of_total_linking: int | None = None
     details: dict = field(default_factory=dict)
 
@@ -115,7 +114,6 @@ def splitting_bound_multivariable(
         bound_name="split-multi",
         value=value,
         omega=omega,
-        inputs={"mu": mu, "sigma_l": sigma_l, "eta_l": eta_l, "comps": comps},
         parity_of_total_linking=None if total_linking is None else total_linking % 2,
     )
 
@@ -145,13 +143,6 @@ def splitting_bound_lt(
         bound_name="split-lt",
         value=value,
         omega=omega,
-        inputs={
-            "mu": mu,
-            "sigma_lt": sigma_lt,
-            "eta_lt": eta_lt,
-            "total_linking": total_linking,
-            "comps": comps,
-        },
         parity_of_total_linking=total_linking % 2,
         details={"total_lk": total_linking},
     )
@@ -178,7 +169,7 @@ def linking_number_bound(
     explicit non-split flag; linked pairs are non-split automatically.
     """
     flags = dict(nonsplit or {})
-    mu, pairs = _linking_pairs(linking)
+    _, pairs = _linking_pairs(linking)
     value = 0
     total = 0
     for i, j, lk in pairs:
@@ -196,7 +187,6 @@ def linking_number_bound(
     return BoundReport(
         bound_name="linking",
         value=value,
-        inputs={"mu": mu, "linking": [list(map(int, row)) for row in np.asarray(linking)]},
         parity_of_total_linking=total % 2,
         details={"total_lk": total},
     )
@@ -243,7 +233,6 @@ def rank_obstruction(
     return BoundReport(
         bound_name="rank",
         value=value,
-        inputs={"mu": mu, "beta_est": beta_est, "samples": len(samples)},
         parity_of_total_linking=None if total_linking is None else total_linking % 2,
         details=details,
     )
@@ -270,7 +259,6 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
     return BoundReport(
         bound_name="unlink",
         value=(raw + 1) // 2,
-        inputs={"mu": mu, "sigma_l": sigma_l, "eta_l": eta_l},
         details={"raw": raw},
     )
 

@@ -31,6 +31,8 @@ import numpy as np
 SignPattern = tuple[int, ...]
 
 _HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
+_THREE_QUARTERS = Fraction(3, 4)
 
 
 def canonical_patterns(mu: int) -> tuple[SignPattern, ...]:
@@ -81,6 +83,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"invalid fraction {item!r}") from exc
 
 
+def torus_coordinate(q: Fraction) -> complex:
+    """exp(2*pi*1j*q), exact at the quarter turns 1/4, 1/2 and 3/4."""
+    if q == _HALF:
+        return complex(-1.0, 0.0)
+    if q == _QUARTER:
+        return complex(0.0, 1.0)
+    if q == _THREE_QUARTERS:
+        return complex(0.0, -1.0)
+    angle = 2.0 * pi * float(q)
+    return complex(cos(angle), sin(angle))
+
+
 @dataclass(frozen=True)
 class TorusPoint:
     """A point omega in the torus, one exact angle fraction per color.
@@ -127,18 +141,7 @@ class TorusPoint:
         return all(q == _HALF for q in self.fractions)
 
     def values(self) -> tuple[complex, ...]:
-        out = []
-        for q in self.fractions:
-            if q == _HALF:
-                out.append(complex(-1.0, 0.0))
-            elif q == Fraction(1, 4):
-                out.append(complex(0.0, 1.0))
-            elif q == Fraction(3, 4):
-                out.append(complex(0.0, -1.0))
-            else:
-                angle = 2.0 * pi * float(q)
-                out.append(complex(cos(angle), sin(angle)))
-        return tuple(out)
+        return tuple(torus_coordinate(q) for q in self.fractions)
 
     def __str__(self):
         return ",".join(str(q) for q in self.fractions)
@@ -254,31 +257,56 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
     return problems
 
 
+def assemble_stack(gss: GeneralizedSeifertSystem, values: np.ndarray) -> np.ndarray:
+    """H at many torus points at once.
+
+    Row k of ``values`` holds the mu coordinates of point k on the unit
+    circle.  Returns the (N, n, n) stack of H: the (N, 2^mu) coefficients,
+    multiplied out coordinate by coordinate, contracted with the 2^mu
+    matrices A^eps stacked and flattened to shape (2^mu, n*n).
+    """
+    w = np.asarray(values, dtype=complex).T[:, None, :]
+    if len(w) != gss.mu:
+        raise ValueError(f"torus point has {len(w)} coordinates, system has {gss.mu} colors")
+    patterns = all_patterns(gss.mu)
+    signs = (np.array(patterns) > 0).T[:, :, None]
+    # conj(w)^sign on the unit circle: conj(w) for +, w itself for -.
+    factors = np.where(signs, 1.0 - w.conj(), 1.0 - w)
+    coefficients = factors[0]
+    for factor in factors[1:]:
+        coefficients = coefficients * factor
+    stack = np.array([gss.matrix(p) for p in patterns], dtype=complex)
+    flat = stack.reshape(len(patterns), gss.rank * gss.rank)
+    return (coefficients.T @ flat).reshape(w.shape[-1], gss.rank, gss.rank)
+
+
 def assemble_h(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> np.ndarray:
     """The Hermitian matrix H(omega) of the system at a torus point."""
-    if omega.mu != gss.mu:
-        raise ValueError(f"torus point has {omega.mu} coordinates, system has {gss.mu} colors")
-    values = omega.values()
-    h = np.zeros((gss.rank, gss.rank), dtype=complex)
-    for pattern in all_patterns(gss.mu):
-        coefficient = 1.0 + 0.0j
-        for w, sign in zip(values, pattern):
-            # conj(w)^sign on the unit circle: conj(w) for +, w itself for -.
-            coefficient *= (1.0 - w.conjugate()) if sign > 0 else (1.0 - w)
-        h += coefficient * np.asarray(gss.matrix(pattern), dtype=complex)
-    return h
+    return assemble_stack(gss, np.array([omega.values()]))[0]
 
 
 def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
     """Exact integer H at omega = (-1, ..., -1).
 
     Every factor (1 - conj(omega_i)^eps_i) equals 2 there, so the value is
-    2^mu times the sum of the full matrix family.
+    2^mu times the sum of the full matrix family.  The sum runs in int64
+    when the largest entry proves that it cannot wrap, and in Python
+    integers (an object array) otherwise.
     """
-    total = np.zeros((gss.rank, gss.rank), dtype=np.int64)
-    for pattern in canonical_patterns(gss.mu):
-        a = np.asarray(gss.matrices[pattern], dtype=np.int64)
-        total += a + a.T
+    n = gss.rank
+    matrices = [np.asarray(gss.matrices[p]) for p in canonical_patterns(gss.mu)]
+    largest = max((max(-int(a.min()), int(a.max())) for a in matrices if a.size), default=0)
+    # Every entry of the result is at most 2^mu * 2 * len(matrices) * largest.
+    if (largest * 2 * len(matrices)) << gss.mu <= np.iinfo(np.int64).max:
+        total = np.zeros((n, n), dtype=np.int64)
+        for a in matrices:
+            a = a.astype(np.int64)
+            total += a + a.T
+    else:
+        total = np.zeros((n, n), dtype=object)
+        for a in matrices:
+            a = np.array([[int(v) for v in row] for row in a.tolist()], dtype=object)
+            total += a + a.T
     return (2**gss.mu) * total
 
 

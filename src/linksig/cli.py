@@ -74,7 +74,7 @@ def cmd_scan(args) -> int:
         raise ValueError("resolution must be at least 1")
     grid = torus_scan(system, args.res, args.tol)
     write_scan_csv(grid, args.out)
-    print(f"rows={len(grid.samples)} min_eta={grid.min_eta} near_zero_det={grid.near_zero_count}")
+    print(f"rows={grid.sigma.size} min_eta={grid.min_eta} near_zero_det={grid.near_zero_count}")
     return EXIT_OK
 
 

@@ -2,11 +2,12 @@
 
 Two routes are provided.  ``hermitian_signature`` classifies the spectrum of
 a complex Hermitian matrix in floating point, with an explicit relative
-tolerance for the zero eigenvalue test.  ``integer_symmetric_signature``
-handles real symmetric matrices with integer entries exactly, by congruent
-diagonalization over the rationals (Sylvester's law of inertia), so no
-tolerance enters at all.  The two must agree whenever both apply; the test
-suite leans on that redundancy.
+tolerance for the zero eigenvalue test; it is the one-matrix case of
+``inertia_stack``, which classifies a whole stack with one ``eigvalsh``
+call.  ``integer_symmetric_signature`` handles real symmetric matrices with
+integer entries exactly, by congruent diagonalization over the rationals
+(Sylvester's law of inertia), so no tolerance enters at all.  The two must
+agree whenever both apply; the test suite leans on that redundancy.
 
 ``bordered_delta`` measures how the signature and nullity react when a
 Hermitian matrix is enlarged by one bordering row/column.  Eigenvalue
@@ -44,6 +45,31 @@ def _as_square_complex(matrix) -> np.ndarray:
     return a
 
 
+def inertia_stack(stack, tol: float = DEFAULT_TOL):
+    """Inertia of every matrix in an (N, n, n) stack of Hermitian matrices.
+
+    Returns three length-N arrays: the counts of positive and of negative
+    eigenvalues, and the product of the eigenvalue magnitudes (|det|).  The
+    rules are those of :func:`hermitian_signature`, applied per matrix; all
+    eigenvalues come from one ``eigvalsh`` call on the stack.
+
+    Raises ``ValueError`` for negative ``tol`` or a matrix that violates
+    Hermitian symmetry beyond its scaled tolerance.
+    """
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    adjoint = stack.conj().swapaxes(-1, -2)
+    threshold = tol * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1), initial=0.0))
+    if (np.abs(stack - adjoint).max(axis=(-2, -1), initial=0.0) > threshold).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    # Symmetrize to kill rounding asymmetry before the eigensolver.
+    eigenvalues = np.linalg.eigvalsh((stack + adjoint) / 2.0)
+    threshold = threshold[:, None]
+    positives = (eigenvalues > threshold).sum(axis=1)
+    negatives = (eigenvalues < -threshold).sum(axis=1)
+    return positives, negatives, np.abs(eigenvalues).prod(axis=1)
+
+
 def hermitian_signature(matrix, tol: float = DEFAULT_TOL) -> SignatureResult:
     """Signature, nullity and inertia counts of a Hermitian matrix.
 
@@ -53,22 +79,10 @@ def hermitian_signature(matrix, tol: float = DEFAULT_TOL) -> SignatureResult:
     Raises ``ValueError`` for non-square input, negative ``tol``, or a
     matrix that violates Hermitian symmetry beyond the scaled tolerance.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
     a = _as_square_complex(matrix)
-    n = a.shape[0]
-    if n == 0:
-        return SignatureResult(0, 0, 0, 0)
-    scale = max(1.0, float(np.abs(a).max()))
-    threshold = tol * scale
-    if float(np.abs(a - a.conj().T).max()) > threshold:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    # Symmetrize to kill rounding asymmetry before the eigensolver.
-    eigenvalues = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    positives = int(np.count_nonzero(eigenvalues > threshold))
-    negatives = int(np.count_nonzero(eigenvalues < -threshold))
-    nullity = n - positives - negatives
-    return SignatureResult(positives - negatives, nullity, positives, negatives)
+    positives, negatives, _ = inertia_stack(a[None], tol)
+    p, q = int(positives[0]), int(negatives[0])
+    return SignatureResult(p - q, a.shape[0] - p - q, p, q)
 
 
 def _as_int_rows(matrix) -> list[list[int]]:
@@ -212,12 +226,6 @@ def bordered_delta(matrix, border, corner, tol: float = DEFAULT_TOL):
     if z.shape != (n,):
         raise ValueError(f"border has shape {z.shape}, expected ({n},)")
 
-    bordered = np.zeros((n + 1, n + 1), dtype=complex)
-    bordered[:n, :n] = a
-    bordered[:n, n] = z
-    bordered[n, :n] = z.conj()
-    bordered[n, n] = corner
-
     exact = _exact_border_inputs(matrix, border, corner)
     if exact is not None:
         base, col, lam = exact
@@ -226,6 +234,11 @@ def bordered_delta(matrix, border, corner, tol: float = DEFAULT_TOL):
         before = integer_symmetric_signature(base) if base else SignatureResult(0, 0, 0, 0)
         after = integer_symmetric_signature(big)
     else:
+        bordered = np.zeros((n + 1, n + 1), dtype=complex)
+        bordered[:n, :n] = a
+        bordered[:n, n] = z
+        bordered[n, :n] = z.conj()
+        bordered[n, n] = corner
         before = hermitian_signature(a, tol)
         after = hermitian_signature(bordered, tol)
     return (after.signature - before.signature, after.nullity - before.nullity)

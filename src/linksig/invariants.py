@@ -7,10 +7,14 @@ diagonal, scans rectangular grids for the zero locus of det H, and
 estimates the minimal nullity over the torus from samples.
 
 Scans exclude the boundary angles 0 and 1 by construction: H vanishes when
-a coordinate hits 1, so grid fractions are k/(R+1) for k = 1..R.  Samples
-carry |det H| together with the sign of the (real) determinant; the sign
-going through zero between neighbouring samples is the discrete trace of
-the zero locus, across which the signature is allowed to change.
+a coordinate hits 1, so grid fractions are k/(R+1) for k = 1..R.  A scan
+assembles H for a chunk of points at a time and classifies the chunk with
+one ``eigvalsh`` call.  Samples carry |det H|, the product of the
+eigenvalue magnitudes from that same call (its last printed digit can
+differ from an LU determinant), and the sign of the real determinant,
+(-1)^negatives, set to 0 when the nullity is positive.  The sign going
+through zero between neighbouring samples is the discrete trace of the
+zero locus, across which the signature is allowed to change.
 """
 
 from __future__ import annotations
@@ -22,17 +26,33 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccomplex import GeneralizedSeifertSystem, TorusPoint, assemble_h, h_at_minus_ones
-from .hermitian import DEFAULT_TOL, hermitian_signature, integer_symmetric_signature
+from .ccomplex import (
+    GeneralizedSeifertSystem,
+    TorusPoint,
+    assemble_h,
+    assemble_stack,
+    h_at_minus_ones,
+    torus_coordinate,
+)
+from .hermitian import (
+    DEFAULT_TOL,
+    hermitian_signature,
+    inertia_stack,
+    integer_symmetric_signature,
+)
+
+#: Bytes of complex H matrices assembled and classified at a time, which
+#: bounds a scan's working memory at any resolution.
+CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
 class InvariantSample:
     """Invariants of one torus point.
 
-    ``det_sign`` is the sign of the real determinant of H, forced to 0 when
-    the sample is flagged as a potential zero of the torsion polynomial
-    (positive nullity, or |det| at most the det-zero threshold).
+    ``det_sign`` is the sign of the real determinant of H, (-1)^negatives,
+    forced to 0 when the sample is flagged as a potential zero of the
+    torsion polynomial (positive nullity).
     """
 
     omega: TorusPoint
@@ -46,21 +66,43 @@ class InvariantSample:
         return self.det_sign == 0
 
 
-@dataclass(frozen=True)
+def _axis(resolution: int) -> list[Fraction]:
+    return [Fraction(k, resolution + 1) for k in range(1, resolution + 1)]
+
+
+@dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """Row-major grid of samples at fractions k/(resolution+1), k = 1..R."""
+    """Row-major grid of samples at fractions k/(resolution+1), k = 1..R.
+
+    ``sigma``, ``eta``, ``abs_det`` and ``det_sign`` are arrays of R^mu
+    entries, one per sample, with the meaning of the
+    :class:`InvariantSample` fields.
+    """
 
     resolution: int
     mu: int
-    samples: tuple[InvariantSample, ...]
+    sigma: np.ndarray
+    eta: np.ndarray
+    abs_det: np.ndarray
+    det_sign: np.ndarray
+
+    @property
+    def samples(self) -> tuple[InvariantSample, ...]:
+        """The samples as :class:`InvariantSample` objects, built on each access."""
+        points = itertools.product(_axis(self.resolution), repeat=self.mu)
+        columns = (self.sigma, self.eta, self.abs_det, self.det_sign)
+        return tuple(
+            InvariantSample(TorusPoint(point), *values)
+            for point, *values in zip(points, *(c.tolist() for c in columns))
+        )
 
     @property
     def min_eta(self) -> int:
-        return min(sample.eta for sample in self.samples)
+        return int(self.eta.min())
 
     @property
     def near_zero_count(self) -> int:
-        return sum(1 for sample in self.samples if sample.near_zero)
+        return int(np.count_nonzero(self.det_sign == 0))
 
     def lines(self):
         """Yield every full row and column of sample indices, row-major."""
@@ -77,25 +119,21 @@ class ScanGrid:
                 yield [base + t * strides[axis] for t in range(r)]
 
 
-def _sample(gss: GeneralizedSeifertSystem, omega: TorusPoint, tol: float) -> InvariantSample:
-    h = assemble_h(gss, omega)
-    n = gss.rank
-    if n == 0:
-        return InvariantSample(omega, 0, 0, 1.0, 1)
+def _inertia(gss: GeneralizedSeifertSystem, values: np.ndarray, tol: float):
+    """Positive and negative counts and |det H| at each row of ``values``.
 
-    if omega.is_minus_ones():
-        result = integer_symmetric_signature(h_at_minus_ones(gss))
-    else:
-        result = hermitian_signature(h, tol)
-
-    determinant = complex(np.linalg.det(h)).real
-    scale = max(1.0, float(np.abs(h).max()))
-    threshold = (tol * scale) ** n
-    if result.nullity > 0 or abs(determinant) <= threshold:
-        sign = 0
-    else:
-        sign = 1 if determinant > 0 else -1
-    return InvariantSample(omega, result.signature, result.nullity, abs(determinant), sign)
+    Assembles and classifies CHUNK_BYTES of H matrices at a time.
+    """
+    step = max(1, CHUNK_BYTES // (16 * max(1, gss.rank) ** 2))
+    positives = np.empty(len(values), dtype=int)
+    negatives = np.empty(len(values), dtype=int)
+    abs_det = np.empty(len(values))
+    for start in range(0, len(values), step):
+        chunk = slice(start, start + step)
+        positives[chunk], negatives[chunk], abs_det[chunk] = inertia_stack(
+            assemble_stack(gss, values[chunk]), tol
+        )
+    return positives, negatives, abs_det
 
 
 def signature_nullity(
@@ -106,8 +144,12 @@ def signature_nullity(
     Uses the exact integer path when every coordinate fraction is 1/2,
     floating-point classification elsewhere.
     """
-    sample = _sample(gss, omega, tol)
-    return sample.sigma, sample.eta
+    if omega.mu == gss.mu and omega.is_minus_ones():
+        result = integer_symmetric_signature(h_at_minus_ones(gss))
+    else:
+        # assemble_h rejects a point with the wrong number of coordinates.
+        result = hermitian_signature(assemble_h(gss, omega), tol)
+    return result.signature, result.nullity
 
 
 def lt_signature_from_multivariable(
@@ -130,14 +172,30 @@ def lt_signature_from_multivariable(
 def torus_scan(
     gss: GeneralizedSeifertSystem, resolution: int, tol: float = DEFAULT_TOL
 ) -> ScanGrid:
-    """Sample sigma, eta and |det H| on the full R^mu grid, row-major."""
+    """Sample sigma, eta and |det H| on the full R^mu grid, row-major.
+
+    With odd R the middle sample is the all-1/2 point; its inertia is the
+    exact one of :func:`h_at_minus_ones`.
+    """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
-    fractions = [Fraction(k, resolution + 1) for k in range(1, resolution + 1)]
-    samples = []
-    for combo in itertools.product(fractions, repeat=gss.mu):
-        samples.append(_sample(gss, TorusPoint(combo), tol))
-    return ScanGrid(resolution=resolution, mu=gss.mu, samples=tuple(samples))
+    axis = np.array([torus_coordinate(q) for q in _axis(resolution)])
+    grids = np.meshgrid(*[axis] * gss.mu, indexing="ij")
+    values = np.stack(grids, axis=-1).reshape(-1, gss.mu)
+    positives, negatives, abs_det = _inertia(gss, values, tol)
+    if resolution % 2:
+        exact = integer_symmetric_signature(h_at_minus_ones(gss))
+        middle = np.ravel_multi_index((resolution // 2,) * gss.mu, (resolution,) * gss.mu)
+        positives[middle], negatives[middle] = exact.positives, exact.negatives
+    eta = gss.rank - positives - negatives
+    return ScanGrid(
+        resolution=resolution,
+        mu=gss.mu,
+        sigma=positives - negatives,
+        eta=eta,
+        abs_det=abs_det,
+        det_sign=np.where(eta > 0, 0, 1 - 2 * (negatives % 2)),
+    )
 
 
 def estimate_beta(
@@ -162,11 +220,11 @@ def undetected_sigma_jumps(grid: ScanGrid) -> list[tuple[int, int]]:
     determinant crossed zero on the way: one endpoint flagged near-zero or
     the real determinant changing sign.  Anything else is returned.
     """
+    sigma, sign = grid.sigma.tolist(), grid.det_sign.tolist()
     bad = []
     for line in grid.lines():
         for left, right in zip(line, line[1:]):
-            a, b = grid.samples[left], grid.samples[right]
-            if a.sigma != b.sigma and a.det_sign * b.det_sign > 0:
+            if sigma[left] != sigma[right] and sign[left] * sign[right] > 0:
                 bad.append((left, right))
     return bad
 
@@ -174,10 +232,15 @@ def undetected_sigma_jumps(grid: ScanGrid) -> list[tuple[int, int]]:
 def scan_to_csv(grid: ScanGrid) -> str:
     """Render a scan as CSV, angles in decimal with 12 significant digits."""
     header = ",".join(f"theta_{i + 1}" for i in range(grid.mu)) + ",sigma,eta,absdet"
+    labels = [f"{float(q):.12g}" for q in _axis(grid.resolution)]
     rows = [header]
-    for sample in grid.samples:
-        angles = ",".join(f"{float(q):.12g}" for q in sample.omega.fractions)
-        rows.append(f"{angles},{sample.sigma},{sample.eta},{sample.abs_det:.12g}")
+    for angles, sigma, eta, abs_det in zip(
+        itertools.product(labels, repeat=grid.mu),
+        grid.sigma.tolist(),
+        grid.eta.tolist(),
+        grid.abs_det.tolist(),
+    ):
+        rows.append(f"{','.join(angles)},{sigma},{eta},{abs_det:.12g}")
     return "\n".join(rows) + "\n"
 
 

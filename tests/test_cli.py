@@ -76,6 +76,25 @@ class TestScan:
         assert len(lines) == 962
         assert lines[0] == "theta_1,theta_2,sigma,eta,absdet"
 
+    def test_worked_example_golden(self, capsys, tmp_path):
+        out_path = tmp_path / "scan.csv"
+        code, out, _ = run(capsys, "scan", "C(4,3,2)", "--res", "5", "--out", str(out_path))
+        assert code == 0
+        assert out == "rows=25 min_eta=0 near_zero_det=0\n"
+        labels = ["0.166666666667", "0.333333333333", "0.5", "0.666666666667", "0.833333333333"]
+        sigma = [
+            [0, -2, -2, 0, 0],
+            [-2, -2, -2, -2, 0],
+            [-2, -2, -2, -2, -2],
+            [0, -2, -2, -2, -2],
+            [0, 0, -2, -2, 0],
+        ]
+        expected = [
+            [labels[i], labels[j], str(sigma[i][j]), "0"] for i in range(5) for j in range(5)
+        ]
+        rows = [line.split(",") for line in out_path.read_text().strip().split("\n")[1:]]
+        assert [row[:4] for row in rows] == expected
+
     def test_zero_system(self, capsys, tmp_path):
         path = write_zero_system(tmp_path, rank=2)
         out_path = tmp_path / "zero.csv"

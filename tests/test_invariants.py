@@ -4,8 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linksig.ccomplex import GeneralizedSeifertSystem, TorusPoint, all_patterns, h_at_minus_ones
+from linksig import invariants
+from linksig.ccomplex import (
+    GeneralizedSeifertSystem,
+    TorusPoint,
+    all_patterns,
+    assemble_h,
+    h_at_minus_ones,
+)
 from linksig.hermitian import integer_symmetric_signature
 from linksig.invariants import (
     estimate_beta,
@@ -30,7 +39,8 @@ def zero_system(mu=2, rank=3):
 
 
 def oracle_sample(system, fractions, tol=1e-9):
-    """Independent re-evaluation: fresh assembly plus a full eigendecomposition."""
+    """Independent re-evaluation: fresh assembly, a full eigendecomposition
+    and an LU determinant.  Returns (sigma, eta, |det|, sign of det)."""
     n = system.rank
     h = np.zeros((n, n), dtype=complex)
     for pattern in all_patterns(system.mu):
@@ -43,7 +53,8 @@ def oracle_sample(system, fractions, tol=1e-9):
     threshold = tol * max(1.0, float(np.abs(h).max()) if n else 1.0)
     pos = int(np.sum(eigenvalues > threshold))
     neg = int(np.sum(eigenvalues < -threshold))
-    return pos - neg, n - pos - neg, float(np.prod(np.abs(eigenvalues))) if n else 1.0
+    absdet = float(np.prod(np.abs(eigenvalues))) if n else 1.0
+    return pos - neg, n - pos - neg, absdet, int(np.sign(np.linalg.det(h).real)) if n else 1
 
 
 class TestSignatureNullity:
@@ -130,7 +141,7 @@ class TestTorusScan:
         grid = torus_scan(example_system, 7)
         assert len(grid.samples) == 49
         for sample in grid.samples:
-            sigma, eta, absdet = oracle_sample(example_system, sample.omega.fractions)
+            sigma, eta, absdet, _ = oracle_sample(example_system, sample.omega.fractions)
             assert (sample.sigma, sample.eta) == (sigma, eta)
             assert sample.abs_det == pytest.approx(absdet, rel=1e-9, abs=1e-12)
 
@@ -153,6 +164,56 @@ class TestTorusScan:
         assert len(lines) == 6  # 3 columns + 3 rows
         for line in lines:
             assert len(line) == 3
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 8),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_matches_pointwise_and_oracle(self, mu, rank, resolution, seed):
+        system = random_system(np.random.default_rng(seed), mu, rank)
+        grid = torus_scan(system, resolution)
+        for sample in grid.samples:
+            sigma, eta, absdet, sign = oracle_sample(system, sample.omega.fractions)
+            assert (sample.sigma, sample.eta) == signature_nullity(system, sample.omega)
+            assert (sample.sigma, sample.eta) == (sigma, eta)
+            # |det| of a singular H is rounding noise; compare it where eta = 0.
+            if sample.eta == 0:
+                assert sample.abs_det == pytest.approx(absdet, rel=1e-9)
+                assert sample.det_sign == sign
+            else:
+                assert sample.det_sign == 0
+
+    def test_multi_chunk_scan_matches_pointwise(self, monkeypatch):
+        system = random_system(np.random.default_rng(40), 2, 40)
+        per_chunk = invariants.CHUNK_BYTES // (16 * 40 * 40)
+        assert 1 < per_chunk < 7**2  # the scan really spans several chunks
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        grid = torus_scan(system, 7)
+        monkeypatch.undo()
+        assert len(calls) == -(-7**2 // per_chunk)
+        for sample in grid.samples:
+            assert (sample.sigma, sample.eta) == signature_nullity(system, sample.omega)
+            eigenvalues = np.linalg.eigvalsh(assemble_h(system, sample.omega))
+            assert sample.abs_det == pytest.approx(np.prod(np.abs(eigenvalues)), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "mu, matrices",
+        [(1, {"+": [[2**62]]}), (2, {"++": [[2**61]], "+-": [[0]]})],
+    )
+    def test_exact_point_beyond_int64(self, mu, matrices):
+        # 2^mu * (A + A^T) summed over the patterns is 2^64: int64 wraps it to 0.
+        system = GeneralizedSeifertSystem(mu=mu, rank=1, matrices=matrices)
+        assert h_at_minus_ones(system).tolist() == [[2**64]]
+        assert signature_nullity(system, TorusPoint.minus_ones(mu)) == (1, 0)
+        grid = torus_scan(system, 3)
+        middle = grid.samples[(3**mu) // 2]
+        assert middle.omega.is_minus_ones()
+        assert (middle.sigma, middle.eta, middle.det_sign) == (1, 0, 1)
 
 
 class TestEstimateBeta:
