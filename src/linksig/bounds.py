@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ccomplex import TorusPoint
+from .ccomplex import TorusPoint, record_field
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class ComponentInvariants:
 
     @classmethod
     def from_records(cls, records) -> "ComponentInvariants":
-        return cls.of(*((rec["sigma"], rec["eta"]) for rec in records))
+        return cls.of(*[(record_field(r, "sigma"), record_field(r, "eta")) for r in records])
 
     @property
     def mu(self) -> int:
@@ -266,7 +265,7 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
 def _fixture_omega(record) -> TorusPoint | None:
     if "omega" not in record:
         return None
-    return TorusPoint.from_strings(record["omega"])
+    return TorusPoint.from_strings(record_field(record, "omega", list))
 
 
 def evaluate_fixture(record: Mapping) -> BoundReport:
@@ -275,49 +274,43 @@ def evaluate_fixture(record: Mapping) -> BoundReport:
     ``kind`` selects the formula: "lt" for the one-variable bound, "multi"
     for the multivariable bound, "rank" for the rank obstruction.
     """
-    try:
-        kind = record["kind"]
-        mu = int(record["mu"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed fixture record: {exc}") from exc
+    kind = record_field(record, "kind", str)
+    mu = record_field(record, "mu")
+    total = None if record.get("total_lk") is None else record_field(record, "total_lk")
 
     if kind == "lt":
-        comps = ComponentInvariants.from_records(record["components"])
         return splitting_bound_lt(
             mu=mu,
-            sigma_lt=int(record["sigma_L"]),
-            eta_lt=int(record["eta_L"]),
-            total_linking=int(record["total_lk"]),
-            comps=comps,
+            sigma_lt=record_field(record, "sigma_L"),
+            eta_lt=record_field(record, "eta_L"),
+            total_linking=record_field(record, "total_lk"),
+            comps=ComponentInvariants.from_records(record_field(record, "components", list)),
             omega=_fixture_omega(record),
         )
     if kind == "multi":
-        comps = ComponentInvariants.from_records(record["components"])
-        total = record.get("total_lk")
         return splitting_bound_multivariable(
             mu=mu,
-            sigma_l=int(record["sigma_L"]),
-            eta_l=int(record["eta_L"]),
-            comps=comps,
+            sigma_l=record_field(record, "sigma_L"),
+            eta_l=record_field(record, "eta_L"),
+            comps=ComponentInvariants.from_records(record_field(record, "components", list)),
             omega=_fixture_omega(record),
-            total_linking=None if total is None else int(total),
+            total_linking=total,
         )
     if kind == "rank":
         samples = [
             (
                 _fixture_omega(sample),
-                int(sample["sigma_L"]),
-                int(sample["eta_L"]),
-                ComponentInvariants.from_records(sample["components"]),
+                record_field(sample, "sigma_L"),
+                record_field(sample, "eta_L"),
+                ComponentInvariants.from_records(record_field(sample, "components", list)),
             )
-            for sample in record["samples"]
+            for sample in record_field(record, "samples", list)
         ]
-        total = record.get("total_lk")
         return rank_obstruction(
             mu=mu,
-            beta_est=int(record["beta_est"]),
+            beta_est=record_field(record, "beta_est"),
             samples=samples,
-            total_linking=None if total is None else int(total),
+            total_linking=total,
         )
     raise ValueError(f"unknown fixture kind {kind!r}")
 

@@ -234,7 +234,11 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
                 f"({gss.rank}, {gss.rank})"
             )
             continue
-        if a.size and not all(v == int(v) for v in np.ravel(a).tolist()):
+        try:
+            integral = all(v == int(v) for v in np.ravel(a).tolist())
+        except (OverflowError, TypeError, ValueError):  # inf, NaN, null, text
+            integral = False
+        if not integral:
             problems.append(f"matrix for pattern '{label}' has non-integer entries")
 
     if gss.linking is not None:
@@ -328,23 +332,32 @@ def system_to_dict(gss: GeneralizedSeifertSystem) -> dict:
     return doc
 
 
+def record_field(record: Mapping, key: str, convert=int):
+    """``convert(record[key])``; ``ValueError`` naming the field if missing or malformed."""
+    try:
+        value = record[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"malformed record: missing field {key!r}") from None
+    try:
+        return convert(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed record: field {key!r}: {exc}") from None
+
+
 def system_from_dict(doc: Mapping) -> GeneralizedSeifertSystem:
     """Build a system from the JSON document format.
 
     Only syntactic problems raise here; structural ones (wrong shapes,
     missing patterns) are left for :func:`validate` to report.
     """
-    try:
-        mu = int(doc["mu"])
-        rank = int(doc["rank"])
-        matrices = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed system document: {exc}") from exc
+    mu, rank = record_field(doc, "mu"), record_field(doc, "rank")
+    matrices = doc.get("matrices")
     if not isinstance(matrices, Mapping):
         raise ValueError("'matrices' must be an object keyed by sign patterns")
     components = None
     if "components" in doc:
-        components = [(rec["sigma"], rec["eta"]) for rec in doc["components"]]
+        records = record_field(doc, "components", list)
+        components = [(record_field(r, "sigma"), record_field(r, "eta")) for r in records]
     return GeneralizedSeifertSystem(
         mu=mu,
         rank=rank,

@@ -4,10 +4,10 @@ Two routes are provided.  ``hermitian_signature`` classifies the spectrum of
 a complex Hermitian matrix in floating point, with an explicit relative
 tolerance for the zero eigenvalue test; it is the one-matrix case of
 ``inertia_stack``, which classifies a whole stack with one ``eigvalsh``
-call.  ``integer_symmetric_signature`` handles real symmetric matrices with
-integer entries exactly, by congruent diagonalization over the rationals
-(Sylvester's law of inertia), so no tolerance enters at all.  The two must
-agree whenever both apply; the test suite leans on that redundancy.
+call.  ``integer_symmetric_signature`` handles integer symmetric matrices
+exactly (Sylvester's law of inertia) by fraction-free elimination, whose
+primitive rows stay below the Bareiss minors, so no tolerance enters at
+all.  The two must agree whenever both apply; the test suite leans on that.
 
 ``bordered_delta`` measures how the signature and nullity react when a
 Hermitian matrix is enlarged by one bordering row/column.  Eigenvalue
@@ -16,7 +16,7 @@ interlacing forces ``|delta_sigma| + |delta_eta| = 1`` for every border.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -100,83 +100,75 @@ def _as_int_rows(matrix) -> list[list[int]]:
     return rows
 
 
-def _swap_symmetric(a: list[list[Fraction]], i: int, j: int) -> None:
-    if i == j:
-        return
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def integer_symmetric_signature(matrix) -> SignatureResult:
     """Exact signature and nullity of an integer symmetric matrix.
 
-    Runs congruent diagonalization over the rationals with full symmetric
-    pivoting.  When every remaining diagonal entry vanishes but some
-    off-diagonal entry survives, the corresponding hyperbolic 2 x 2 block
-    contributes one positive and one negative eigenvalue.
+    Fraction-free elimination on Python integers: row i of the working
+    matrix is a positive multiple of row i of the current Schur complement,
+    so diagonal signs are exact and no denominator is tracked.  A 1 x 1 step
+    pivots on the nonzero diagonal entry of least magnitude; with a zero
+    diagonal, a 2 x 2 step eliminates a hyperbolic block (one positive, one
+    negative eigenvalue); what is left when every entry is 0 is the nullity.
+    Only rows with a nonzero entry in the pivot columns are updated (O(n^2)
+    for tridiagonal forms), each then divided by its gcd.  A primitive row
+    divides its Schur-complement row times det A[K, K], whose entries are
+    the Bareiss minors det A[K+i, K+j] for pivot set K, so no entry exceeds
+    Hadamard's bound.
 
-    Raises ``ValueError`` for non-square, non-integer or non-symmetric
-    input.
+    Raises ``ValueError`` for non-square, non-integer or non-symmetric input.
     """
-    rows = _as_int_rows(matrix)
-    n = len(rows)
+    a = _as_int_rows(matrix)
+    n = len(a)
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if a[i][j] != a[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
 
-    a: list[list[Fraction]] = [[Fraction(v) for v in row] for row in rows]
-    positives = negatives = nullity = 0
-    k = 0
-    while k < n:
-        # Largest remaining diagonal entry as the pivot.
-        pivot_index = max(range(k, n), key=lambda i: abs(a[i][i]))
-        pivot = a[pivot_index][pivot_index]
-        if pivot != 0:
-            _swap_symmetric(a, k, pivot_index)
-            pivot = a[k][k]
-            if pivot > 0:
+    positives = negatives = 0
+    while a:
+        m = len(a)
+        k = min((i for i in range(m) if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
+        if k is not None:
+            row_k = a.pop(k)
+            p = row_k.pop(k)
+            if p > 0:
                 positives += 1
             else:
                 negatives += 1
-            for i in range(k + 1, n):
-                factor = a[i][k] / pivot
-                if factor:
-                    row_k = a[k]
-                    row_i = a[i]
-                    for j in range(k + 1, n):
-                        row_i[j] -= factor * row_k[j]
-            k += 1
+                p, row_k = -p, [-y for y in row_k]
+            for i, row in enumerate(a):
+                f = row.pop(k)
+                if f:
+                    a[i] = _primitive([p * x - f * y for x, y in zip(row, row_k)])
             continue
 
-        # All remaining diagonal entries vanish.
-        off = next(
-            ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-            None,
-        )
-        if off is None:
-            nullity += n - k
+        # All diagonal entries vanish: eliminate a hyperbolic 2 x 2 block.
+        pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+        if pair is None:
             break
-        i0, j0 = off
-        _swap_symmetric(a, k, i0)  # j0 > i0 >= k, so the partner stays at column j0
-        _swap_symmetric(a, k + 1, j0)
-        h = a[k][k + 1]
+        k, l = pair
         positives += 1
         negatives += 1
-        # Eliminate against the block [[0, h], [h, 0]]: the trailing update
-        # is A -= C B^{-1} C^T with C the two bordering columns.
-        for i in range(k + 2, n):
-            ui, vi = a[i][k], a[i][k + 1]
-            if ui == 0 and vi == 0:
-                continue
-            row_i = a[i]
-            for j in range(k + 2, n):
-                uj, vj = a[j][k], a[j][k + 1]
-                row_i[j] -= (ui * vj + vi * uj) / h
-        k += 2
+        row_l, row_k = a.pop(l), a.pop(k)
+        del row_l[l]
+        h_lk = row_l.pop(k)
+        h_kl = row_k.pop(l)
+        del row_k[k]
+        h = h_kl * h_lk  # positive: both are positive multiples of one entry
+        for i, row in enumerate(a):
+            a_il, a_ik = row.pop(l), row.pop(k)
+            if a_ik or a_il:
+                c_l, c_k = a_ik * h_kl, a_il * h_lk
+                a[i] = _primitive(
+                    [h * x - c_l * y - c_k * z for x, y, z in zip(row, row_l, row_k)]
+                )
 
-    return SignatureResult(positives - negatives, nullity, positives, negatives)
+    return SignatureResult(positives - negatives, len(a), positives, negatives)
 
 
 def _int_or_none(value):

@@ -59,6 +59,26 @@ class TestSig:
         assert code == 3
         assert "missing" in err
 
+    @pytest.mark.parametrize("entry", ["Infinity", "NaN", "null"])
+    def test_non_finite_entry_exits_3(self, capsys, tmp_path, entry):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(
+            f'{{"mu": 1, "rank": 2, "matrices": {{"+": [[{entry}, 0], [0, 1]]}}}}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "sig", str(path), "--omega", "1/2")
+        assert code == 3
+        assert out == ""
+        assert "non-integer entries" in err
+
+    def test_component_without_sigma_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "components.json"
+        doc = {"mu": 1, "rank": 1, "matrices": {"+": [[1]]}, "components": [{"eta": 0}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "sig", str(path), "--omega", "1/2")
+        assert code == 2
+        assert "missing field 'sigma'" in err
+
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
@@ -144,6 +164,25 @@ class TestBound:
         assert code == 0
         assert "value=5" in out
 
+    @pytest.mark.parametrize("field", ["sigma_L", "eta"])
+    def test_fixture_missing_field_exits_2(self, capsys, tmp_path, field):
+        record = {
+            "kind": "lt",
+            "mu": 2,
+            "sigma_L": 5,
+            "eta_L": 0,
+            "total_lk": -1,
+            "components": [{"sigma": 2, "eta": 0}, {"sigma": 0, "eta": 0}],
+        }
+        # sigma_L is read by evaluate_fixture, eta by ComponentInvariants.from_records.
+        del (record if field in record else record["components"][1])[field]
+        path = tmp_path / "fix.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        code, out, err = run(capsys, "bound", "split-lt", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"missing field {field!r}" in err
+
     def test_kind_mismatch(self, capsys):
         code, _, err = run(capsys, "bound", "split-multi", "L9a29")
         assert code == 2
@@ -207,6 +246,12 @@ class TestTwobridge:
         code, out, _ = run(capsys, "twobridge", "2")
         assert code == 0
         assert out.startswith("s=1 sigma=0 eta=0 bound=1 sp=1")
+
+    def test_rank_80_form(self, capsys):
+        # H(-1,-1) is negative definite for every form of the family.
+        code, out, _ = run(capsys, "twobridge", ",".join(["4,3"] * 40 + ["2"]))
+        assert code == 0
+        assert out == "s=81 sigma=-80 eta=0 bound=81 sp=81 agree=yes\n"
 
     def test_unsupported_family(self, capsys):
         code, _, err = run(capsys, "twobridge", "4,3,1,3")

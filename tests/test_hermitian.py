@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +8,78 @@ from hypothesis import strategies as st
 
 from linksig.hermitian import (
     SignatureResult,
+    _as_int_rows,
     bordered_delta,
     hermitian_signature,
     integer_symmetric_signature,
 )
+
+
+def _swap_symmetric(a: list[list[Fraction]], i: int, j: int) -> None:
+    if i == j:
+        return
+    a[i], a[j] = a[j], a[i]
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+
+
+def rational_inertia(matrix) -> SignatureResult:
+    """Reference for integer_symmetric_signature: congruent diagonalization
+    over the rationals with full symmetric pivoting and hyperbolic 2 x 2
+    blocks, the package's original exact path."""
+    rows = _as_int_rows(matrix)
+    n = len(rows)
+    a: list[list[Fraction]] = [[Fraction(v) for v in row] for row in rows]
+    positives = negatives = nullity = 0
+    k = 0
+    while k < n:
+        # Largest remaining diagonal entry as the pivot.
+        pivot_index = max(range(k, n), key=lambda i: abs(a[i][i]))
+        pivot = a[pivot_index][pivot_index]
+        if pivot != 0:
+            _swap_symmetric(a, k, pivot_index)
+            pivot = a[k][k]
+            if pivot > 0:
+                positives += 1
+            else:
+                negatives += 1
+            for i in range(k + 1, n):
+                factor = a[i][k] / pivot
+                if factor:
+                    row_k = a[k]
+                    row_i = a[i]
+                    for j in range(k + 1, n):
+                        row_i[j] -= factor * row_k[j]
+            k += 1
+            continue
+
+        # All remaining diagonal entries vanish.
+        off = next(
+            ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
+            None,
+        )
+        if off is None:
+            nullity += n - k
+            break
+        i0, j0 = off
+        _swap_symmetric(a, k, i0)  # j0 > i0 >= k, so the partner stays at column j0
+        _swap_symmetric(a, k + 1, j0)
+        h = a[k][k + 1]
+        positives += 1
+        negatives += 1
+        # Eliminate against the block [[0, h], [h, 0]]: the trailing update
+        # is A -= C B^{-1} C^T with C the two bordering columns.
+        for i in range(k + 2, n):
+            ui, vi = a[i][k], a[i][k + 1]
+            if ui == 0 and vi == 0:
+                continue
+            row_i = a[i]
+            for j in range(k + 2, n):
+                uj, vj = a[j][k], a[j][k + 1]
+                row_i[j] -= (ui * vj + vi * uj) / h
+        k += 2
+
+    return SignatureResult(positives - negatives, nullity, positives, negatives)
 
 
 def eigenvalues_2x2(a, b, d):
@@ -120,6 +189,37 @@ class TestIntegerSymmetricSignature:
             assert exact == floating
 
 
+    def test_known_inertia_rank_56(self):
+        # P (L D L^T (+) [[0, M], [M^T, 0]]) P^T: L and the factors of
+        # M = U J V are unit triangular, hence unimodular, so the inertia is
+        # that of D plus r hyperbolic planes and 2 (m - r) zeros.
+        rng = np.random.default_rng(2016)
+        n, m, r = 56, 12, 10
+
+        def unit_lower(size):
+            entries = rng.integers(-1, 2, size=(size, size)) * (rng.random((size, size)) < 0.5)
+            return np.eye(size, dtype=np.int64) + np.tril(entries, -1)
+
+        k = n - 2 * m
+        d = rng.choice([2, -2, 0], size=k, p=[0.45, 0.45, 0.10])
+        d[0] = 0
+        lower = unit_lower(k)
+        mm = unit_lower(m) @ np.diag([1] * r + [0] * (m - r)) @ unit_lower(m).T
+        form = np.zeros((n, n), dtype=np.int64)
+        form[:k, :k] = lower @ np.diag(d) @ lower.T
+        form[k:k + m, k + m:] = mm
+        form[k + m:, k:k + m] = mm.T
+        perm = rng.permutation(n)
+        form = form[np.ix_(perm, perm)]
+
+        positives = int((d > 0).sum()) + r
+        negatives = int((d < 0).sum()) + r
+        nullity = int((d == 0).sum()) + 2 * (m - r)
+        assert integer_symmetric_signature(form) == SignatureResult(
+            positives - negatives, nullity, positives, negatives
+        )
+
+
 class TestBorderedDelta:
     def test_border_of_empty_positive(self):
         assert bordered_delta(np.zeros((0, 0)), [], 5) == (1, 0)
@@ -188,3 +288,39 @@ def test_negation_swaps_inertia(m):
     assert minus.signature == -plus.signature
     assert (minus.positives, minus.negatives) == (plus.negatives, plus.positives)
     assert minus.nullity == plus.nullity
+
+
+@st.composite
+def exact_forms(draw):
+    """Integer symmetric matrices for the oracle: sparse, with zero diagonal
+    (the hyperbolic 2 x 2 step), bipartite [[0, M], [M^T, 0]] (2 x 2 steps
+    on rows that earlier steps have rescaled), or rank-deficient products
+    B D B^T, with entries small or up to 2**70 (beyond int64)."""
+    n = draw(st.integers(0, 10))
+    bound = draw(st.sampled_from([3, 2**70]))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    kind = draw(st.sampled_from(["sparse", "zero_diagonal", "bipartite", "product"]))
+    if kind == "bipartite":
+        half = n // 2
+        m = [[0] * n for _ in range(n)]
+        for i in range(half):
+            for j in range(half, n):
+                m[i][j] = m[j][i] = draw(entry)
+    elif kind == "product":
+        r = draw(st.integers(0, n))
+        b = [[draw(entry) for _ in range(r)] for _ in range(n)]
+        d = [draw(entry) for _ in range(r)]
+        m = [[sum(b[i][t] * d[t] * b[j][t] for t in range(r)) for j in range(n)] for i in range(n)]
+    else:
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i < j or kind == "sparse":
+                    m[i][j] = m[j][i] = draw(entry)
+    return np.array(m, dtype=object).reshape(n, n)
+
+
+@settings(deadline=None, max_examples=300)
+@given(exact_forms())
+def test_matches_rational_oracle(m):
+    assert integer_symmetric_signature(m) == rational_inertia(m)
