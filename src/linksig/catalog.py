@@ -99,13 +99,11 @@ def self_check() -> None:
     for name, record in fixture_records().items():
         try:
             report = bounds.evaluate_fixture(record)
+            expected = ccomplex.record_field(record, "expected_bound")
         except ValueError as exc:
             problems.append(f"fixture {name}: {exc}")
             continue
-        expected = record.get("expected_bound")
-        if expected is None:
-            problems.append(f"fixture {name}: no expected_bound recorded")
-        elif report.value != int(expected):
+        if report.value != expected:
             problems.append(
                 f"fixture {name}: evaluates to {report.value}, expected {expected}"
             )

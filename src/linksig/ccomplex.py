@@ -28,6 +28,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .hermitian import exact_int, exact_int_rows
+
 SignPattern = tuple[int, ...]
 
 _HALF = Fraction(1, 2)
@@ -158,9 +160,6 @@ class GeneralizedSeifertSystem:
         as ``"+-"``) to n x n integer matrices.
     linking: optional symmetric mu x mu integer matrix of pairwise total
         linking numbers between colors; the diagonal is ignored.
-    components: optional per-color (sigma, eta) pairs recording the
-        Levine-Tristram invariants of each sublink at the evaluation point
-        of interest; unknotted components carry (0, 0) at every point.
     name: optional display name.
 
     Construction is permissive: structural problems are reported by
@@ -168,9 +167,9 @@ class GeneralizedSeifertSystem:
     loaded and diagnosed.
     """
 
-    def __init__(self, mu, rank, matrices, linking=None, components=None, name=None):
-        self.mu = int(mu)
-        self.rank = int(rank)
+    def __init__(self, mu, rank, matrices, linking=None, name=None):
+        self.mu = exact_int(mu)
+        self.rank = exact_int(rank)
         normalized = {}
         for key, value in dict(matrices).items():
             pattern = pattern_from_string(key) if isinstance(key, str) else tuple(key)
@@ -180,9 +179,6 @@ class GeneralizedSeifertSystem:
             normalized[pattern] = array
         self.matrices = normalized
         self.linking = None if linking is None else np.asarray(linking)
-        self.components = None if components is None else tuple(
-            (int(s), int(e)) for s, e in components
-        )
         self.name = name
 
     def matrix(self, pattern: SignPattern) -> np.ndarray:
@@ -196,11 +192,19 @@ class GeneralizedSeifertSystem:
         if self.linking is None:
             raise ValueError("no linking data on this system")
         lk = np.asarray(self.linking)
-        return int(sum(lk[i][j] for i in range(self.mu) for j in range(i + 1, self.mu)))
+        return exact_int(sum(lk[i][j] for i in range(self.mu) for j in range(i + 1, self.mu)))
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<GeneralizedSeifertSystem{label} mu={self.mu} rank={self.rank}>"
+
+
+def _integral(array: np.ndarray) -> bool:
+    try:
+        exact_int_rows(array)
+    except ValueError:
+        return False
+    return True
 
 
 def validate(gss: GeneralizedSeifertSystem) -> list[str]:
@@ -234,29 +238,17 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
                 f"({gss.rank}, {gss.rank})"
             )
             continue
-        try:
-            integral = all(v == int(v) for v in np.ravel(a).tolist())
-        except (OverflowError, TypeError, ValueError):  # inf, NaN, null, text
-            integral = False
-        if not integral:
+        if not _integral(a):
             problems.append(f"matrix for pattern '{label}' has non-integer entries")
 
     if gss.linking is not None:
         lk = gss.linking
         if lk.shape != (gss.mu, gss.mu):
             problems.append(f"linking matrix has shape {lk.shape}, expected ({gss.mu}, {gss.mu})")
+        elif not _integral(lk):
+            problems.append("linking matrix has non-integer entries")
         elif not np.array_equal(lk, lk.T):
             problems.append("linking matrix is not symmetric")
-
-    if gss.components is not None:
-        if len(gss.components) != gss.mu:
-            problems.append(
-                f"components list has length {len(gss.components)}, expected {gss.mu}"
-            )
-        else:
-            for i, (_, eta) in enumerate(gss.components):
-                if eta < 0:
-                    problems.append(f"component {i} has negative nullity {eta}")
 
     return problems
 
@@ -299,7 +291,9 @@ def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
     """
     n = gss.rank
     matrices = [np.asarray(gss.matrices[p]) for p in canonical_patterns(gss.mu)]
-    largest = max((max(-int(a.min()), int(a.max())) for a in matrices if a.size), default=0)
+    largest = max(
+        (max(-exact_int(a.min()), exact_int(a.max())) for a in matrices if a.size), default=0
+    )
     # Every entry of the result is at most 2^mu * 2 * len(matrices) * largest.
     if (largest * 2 * len(matrices)) << gss.mu <= np.iinfo(np.int64).max:
         total = np.zeros((n, n), dtype=np.int64)
@@ -309,7 +303,7 @@ def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
     else:
         total = np.zeros((n, n), dtype=object)
         for a in matrices:
-            a = np.array([[int(v) for v in row] for row in a.tolist()], dtype=object)
+            a = np.array(exact_int_rows(a), dtype=object)
             total += a + a.T
     return (2**gss.mu) * total
 
@@ -325,14 +319,12 @@ def system_to_dict(gss: GeneralizedSeifertSystem) -> dict:
     }
     if gss.linking is not None:
         doc["linking"] = np.asarray(gss.linking).tolist()
-    if gss.components is not None:
-        doc["components"] = [{"sigma": s, "eta": e} for s, e in gss.components]
     if gss.name is not None:
         doc["name"] = gss.name
     return doc
 
 
-def record_field(record: Mapping, key: str, convert=int):
+def record_field(record: Mapping, key: str, convert=exact_int):
     """``convert(record[key])``; ``ValueError`` naming the field if missing or malformed."""
     try:
         value = record[key]
@@ -340,7 +332,7 @@ def record_field(record: Mapping, key: str, convert=int):
         raise ValueError(f"malformed record: missing field {key!r}") from None
     try:
         return convert(value)
-    except (OverflowError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed record: field {key!r}: {exc}") from None
 
 
@@ -354,16 +346,11 @@ def system_from_dict(doc: Mapping) -> GeneralizedSeifertSystem:
     matrices = doc.get("matrices")
     if not isinstance(matrices, Mapping):
         raise ValueError("'matrices' must be an object keyed by sign patterns")
-    components = None
-    if "components" in doc:
-        records = record_field(doc, "components", list)
-        components = [(record_field(r, "sigma"), record_field(r, "eta")) for r in records]
     return GeneralizedSeifertSystem(
         mu=mu,
         rank=rank,
         matrices={key: value for key, value in matrices.items()},
         linking=doc.get("linking"),
-        components=components,
         name=doc.get("name"),
     )
 

@@ -53,13 +53,16 @@ def inertia_stack(stack, tol: float = DEFAULT_TOL):
     rules are those of :func:`hermitian_signature`, applied per matrix; all
     eigenvalues come from one ``eigvalsh`` call on the stack.
 
-    Raises ``ValueError`` for negative ``tol`` or a matrix that violates
-    Hermitian symmetry beyond its scaled tolerance.
+    Raises ``ValueError`` for negative ``tol``, a non-finite entry, or a
+    matrix that violates Hermitian symmetry beyond its scaled tolerance.
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
+    scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has non-finite entries")
     adjoint = stack.conj().swapaxes(-1, -2)
-    threshold = tol * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1), initial=0.0))
+    threshold = tol * np.maximum(1.0, scale)
     if (np.abs(stack - adjoint).max(axis=(-2, -1), initial=0.0) > threshold).any():
         raise ValueError("matrix is not Hermitian within tolerance")
     # Symmetrize to kill rounding asymmetry before the eigensolver.
@@ -76,8 +79,8 @@ def hermitian_signature(matrix, tol: float = DEFAULT_TOL) -> SignatureResult:
     Eigenvalues lambda with ``|lambda| <= tol * max(1, max |entry|)`` are
     counted as zero.  The empty (0 x 0) matrix yields ``(0, 0, 0, 0)``.
 
-    Raises ``ValueError`` for non-square input, negative ``tol``, or a
-    matrix that violates Hermitian symmetry beyond the scaled tolerance.
+    Raises ``ValueError`` for non-square input, negative ``tol``, non-finite
+    entries, or a matrix that is not Hermitian within the scaled tolerance.
     """
     a = _as_square_complex(matrix)
     positives, negatives, _ = inertia_stack(a[None], tol)
@@ -85,19 +88,30 @@ def hermitian_signature(matrix, tol: float = DEFAULT_TOL) -> SignatureResult:
     return SignatureResult(p - q, a.shape[0] - p - q, p, q)
 
 
-def _as_int_rows(matrix) -> list[list[int]]:
+def exact_int(value) -> int:
+    """``value`` as a Python int, provided it is exactly an integer.
+
+    Accepts Python and numpy integers, finite integral floats and complex
+    values with zero imaginary part.  Raises ``ValueError`` for booleans,
+    text, ``None``, non-finite and fractional values.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (complex, np.complexfloating)) and value.imag == 0:
+        value = value.real
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    raise ValueError(f"non-integer value {value!r}")
+
+
+def exact_int_rows(matrix) -> list[list[int]]:
+    """The rows of a square matrix as Python ints, each read by :func:`exact_int`."""
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    rows = []
-    for row in a.tolist():
-        out = []
-        for value in row:
-            if isinstance(value, bool) or value != int(value):
-                raise ValueError(f"non-integer entry {value!r}")
-            out.append(int(value))
-        rows.append(out)
-    return rows
+    if a.dtype.kind in "iu":
+        return a.tolist()
+    return [[exact_int(value) for value in row] for row in a.tolist()]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -122,7 +136,7 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
 
     Raises ``ValueError`` for non-square, non-integer or non-symmetric input.
     """
-    a = _as_int_rows(matrix)
+    a = exact_int_rows(matrix)
     n = len(a)
     for i in range(n):
         for j in range(i + 1, n):
@@ -171,38 +185,6 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
     return SignatureResult(positives - negatives, len(a), positives, negatives)
 
 
-def _int_or_none(value):
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return int(value) if value == int(value) else None
-    if isinstance(value, (complex, np.complexfloating)):
-        if value.imag == 0 and value.real == int(value.real):
-            return int(value.real)
-        return None
-    return None
-
-
-def _exact_border_inputs(matrix, border, corner):
-    a = np.asarray(matrix)
-    z = np.asarray(border)
-    base = [[_int_or_none(v) for v in row] for row in a.tolist()] if a.size else []
-    col = [_int_or_none(v) for v in z.tolist()]
-    lam = _int_or_none(corner)
-    if lam is None or any(v is None for v in col):
-        return None
-    if any(v is None for row in base for v in row):
-        return None
-    n = len(col)
-    for i in range(n):
-        for j in range(n):
-            if base[i][j] != base[j][i]:
-                return None
-    return base, col, lam
-
-
 def bordered_delta(matrix, border, corner, tol: float = DEFAULT_TOL):
     """Change of (signature, nullity) under a rank-one bordering.
 
@@ -210,7 +192,7 @@ def bordered_delta(matrix, border, corner, tol: float = DEFAULT_TOL):
     ``(sigma(M') - sigma(M), eta(M') - eta(M))``.  When all inputs are
     real integers the exact path is used, otherwise the floating one.
 
-    Raises ``ValueError`` when the border length does not match ``M``.
+    Raises ``ValueError`` when the border length does not match ``M`` or an entry is not finite.
     """
     a = _as_square_complex(matrix)
     n = a.shape[0]
@@ -218,14 +200,11 @@ def bordered_delta(matrix, border, corner, tol: float = DEFAULT_TOL):
     if z.shape != (n,):
         raise ValueError(f"border has shape {z.shape}, expected ({n},)")
 
-    exact = _exact_border_inputs(matrix, border, corner)
-    if exact is not None:
-        base, col, lam = exact
-        big = [row + [col[i]] for i, row in enumerate(base)]
-        big.append(col + [lam])
-        before = integer_symmetric_signature(base) if base else SignatureResult(0, 0, 0, 0)
-        after = integer_symmetric_signature(big)
-    else:
+    try:
+        base = exact_int_rows(matrix)
+        col = [exact_int(v) for v in np.asarray(border).tolist()]
+        lam = exact_int(corner)
+    except ValueError:  # some input is not an integer: floating route
         bordered = np.zeros((n + 1, n + 1), dtype=complex)
         bordered[:n, :n] = a
         bordered[:n, n] = z
@@ -233,4 +212,8 @@ def bordered_delta(matrix, border, corner, tol: float = DEFAULT_TOL):
         bordered[n, n] = corner
         before = hermitian_signature(a, tol)
         after = hermitian_signature(bordered, tol)
+    else:
+        big = [row + [c] for row, c in zip(base + [col], col + [lam])]
+        before = integer_symmetric_signature(base) if base else SignatureResult(0, 0, 0, 0)
+        after = integer_symmetric_signature(big)
     return (after.signature - before.signature, after.nullity - before.nullity)

@@ -156,7 +156,6 @@ def build_gss(form: ConwayForm) -> GeneralizedSeifertSystem:
         mu=2,
         rank=rank,
         matrices={(1, 1): a_pp, (1, -1): a_pm},
-        components=((0, 0), (0, 0)),
         name=form.name,
     )
 

@@ -29,6 +29,16 @@ class TestShippedFixtures:
     def test_self_check_passes(self):
         catalog.self_check()
 
+    @pytest.mark.parametrize("expected", [None, 3.5])
+    def test_self_check_rejects_bad_expected_bound(self, monkeypatch, expected):
+        record = dict(catalog.load_fixture("L9a29"))  # evaluates to 3
+        del record["expected_bound"]
+        if expected is not None:
+            record["expected_bound"] = expected
+        monkeypatch.setattr(catalog, "fixture_records", lambda: {"L9a29": record})
+        with pytest.raises(catalog.CatalogError, match="expected_bound"):
+            catalog.self_check()
+
     def test_unknown_fixture(self):
         with pytest.raises(ValueError, match="unknown fixture"):
             catalog.load_fixture("L0a0")

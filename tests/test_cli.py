@@ -59,7 +59,7 @@ class TestSig:
         assert code == 3
         assert "missing" in err
 
-    @pytest.mark.parametrize("entry", ["Infinity", "NaN", "null"])
+    @pytest.mark.parametrize("entry", ["Infinity", "NaN", "null", "0.5", '"1"'])
     def test_non_finite_entry_exits_3(self, capsys, tmp_path, entry):
         path = tmp_path / "nonfinite.json"
         path.write_text(
@@ -71,13 +71,29 @@ class TestSig:
         assert out == ""
         assert "non-integer entries" in err
 
-    def test_component_without_sigma_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "components.json"
-        doc = {"mu": 1, "rank": 1, "matrices": {"+": [[1]]}, "components": [{"eta": 0}]}
+    @pytest.mark.parametrize("field, value", [("rank", 1.9), ("mu", True)])
+    def test_non_integer_system_field_exits_2(self, capsys, tmp_path, field, value):
+        doc = {"mu": 1, "rank": 1, "matrices": {"+": [[1]]}, field: value}
+        path = tmp_path / "system.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = run(capsys, "sig", str(path), "--omega", "1/2")
+        code, out, err = run(capsys, "sig", str(path), "--omega", "1/2")
         assert code == 2
-        assert "missing field 'sigma'" in err
+        assert out == ""
+        assert f"field {field!r}" in err
+
+    def test_non_integer_linking_exits_3(self, capsys, tmp_path):
+        doc = {
+            "mu": 2,
+            "rank": 0,
+            "matrices": {"++": [], "+-": []},
+            "linking": [[0, 0.5], [0.5, 0]],
+        }
+        path = tmp_path / "linking.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "sig", str(path), "--omega", "1/2,1/2")
+        assert code == 3
+        assert out == ""
+        assert "linking matrix has non-integer entries" in err
 
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -164,8 +180,17 @@ class TestBound:
         assert code == 0
         assert "value=5" in out
 
-    @pytest.mark.parametrize("field", ["sigma_L", "eta"])
-    def test_fixture_missing_field_exits_2(self, capsys, tmp_path, field):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("sigma_L", None, id="sigma_L"),
+            pytest.param("eta", None, id="eta"),
+            pytest.param("sigma_L", 5.7, id="sigma_L=5.7"),
+            pytest.param("sigma_L", True, id="sigma_L=true"),
+            pytest.param("eta", 0.5, id="eta=0.5"),
+        ],
+    )
+    def test_fixture_missing_field_exits_2(self, capsys, tmp_path, field, value):
         record = {
             "kind": "lt",
             "mu": 2,
@@ -175,13 +200,18 @@ class TestBound:
             "components": [{"sigma": 2, "eta": 0}, {"sigma": 0, "eta": 0}],
         }
         # sigma_L is read by evaluate_fixture, eta by ComponentInvariants.from_records.
-        del (record if field in record else record["components"][1])[field]
+        # A value of None deletes the field; any other value replaces it.
+        target = record if field in record else record["components"][1]
+        if value is None:
+            del target[field]
+        else:
+            target[field] = value
         path = tmp_path / "fix.json"
         path.write_text(json.dumps(record), encoding="utf-8")
         code, out, err = run(capsys, "bound", "split-lt", str(path))
         assert code == 2
         assert out == ""
-        assert f"missing field {field!r}" in err
+        assert (f"missing field {field!r}" if value is None else f"field {field!r}") in err
 
     def test_kind_mismatch(self, capsys):
         code, _, err = run(capsys, "bound", "split-multi", "L9a29")

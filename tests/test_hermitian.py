@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from linksig.hermitian import (
     SignatureResult,
-    _as_int_rows,
     bordered_delta,
+    exact_int,
+    exact_int_rows,
     hermitian_signature,
     integer_symmetric_signature,
 )
@@ -27,7 +28,7 @@ def rational_inertia(matrix) -> SignatureResult:
     """Reference for integer_symmetric_signature: congruent diagonalization
     over the rationals with full symmetric pivoting and hyperbolic 2 x 2
     blocks, the package's original exact path."""
-    rows = _as_int_rows(matrix)
+    rows = exact_int_rows(matrix)
     n = len(rows)
     a: list[list[Fraction]] = [[Fraction(v) for v in row] for row in rows]
     positives = negatives = nullity = 0
@@ -95,6 +96,39 @@ def classify(eigenvalues, tol=0.0):
     return pos - neg, len(eigenvalues) - pos - neg
 
 
+class TestExactInt:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (3, 3),
+            (2**70, 2**70),
+            (np.int64(-4), -4),
+            (np.uint8(7), 7),
+            (2.0, 2),
+            (np.float32(-5.0), -5),
+            (float(2**60), 2**60),
+            (complex(7, 0), 7),
+            (np.complex128(-1 + 0j), -1),
+        ],
+    )
+    def test_accepts_exact_integers(self, value, expected):
+        result = exact_int(value)
+        assert result == expected and type(result) is int
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(False), "1", None, 0.5, np.float64(-2.5), math.inf, -math.inf,
+         math.nan, complex(1, 1), complex(math.inf, 0), [1]],
+    )
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ValueError, match="non-integer"):
+            exact_int(value)
+
+    def test_integer_array_rows_are_python_ints(self):
+        rows = exact_int_rows(np.array([[1, -2], [3, 4]], dtype=np.int32))
+        assert rows == [[1, -2], [3, 4]] and all(type(v) is int for r in rows for v in r)
+
+
 class TestHermitianSignature:
     def test_scaled_example_matrix(self):
         m = 4 * np.array([[-2, 1], [1, -6]])
@@ -134,6 +168,11 @@ class TestHermitianSignature:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError, match="tol"):
             hermitian_signature(np.eye(2), tol=-1e-3)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0, math.nan)])
+    def test_rejects_non_finite(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_signature([[entry]])
 
     def test_near_hermitian_within_tol(self):
         m = np.array([[1.0, 1.0 + 1e-13], [1.0, 1.0]])
@@ -177,6 +216,11 @@ class TestIntegerSymmetricSignature:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError, match="integer"):
             integer_symmetric_signature([[0.5, 0], [0, 1]])
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    def test_rejects_non_finite(self, entry):
+        with pytest.raises(ValueError, match="non-integer"):
+            integer_symmetric_signature([[entry]])
 
     def test_agrees_with_floating_path(self):
         rng = np.random.default_rng(7)
@@ -235,6 +279,13 @@ class TestBorderedDelta:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="border"):
             bordered_delta([[1]], [1, 2], 0)
+
+    @pytest.mark.parametrize("corner", [math.inf, math.nan])
+    def test_non_finite_corner_rejected(self, corner):
+        # Unchecked, the floating route gives (-1, 2) for an infinite corner,
+        # which breaks interlacing.
+        with pytest.raises(ValueError, match="non-finite"):
+            bordered_delta([[1.0]], [1.0], corner)
 
     def test_interlacing_identity_exact(self):
         rng = np.random.default_rng(11)

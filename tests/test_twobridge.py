@@ -94,10 +94,6 @@ class TestBuildGss:
         assert h[0, 0] % 8 == 0 and h[0, 0] <= -8  # 4 * (-2 d), d >= 1
         assert signature_nullity(system, TorusPoint.minus_ones(2)) == (-1, 0)
 
-    def test_components_are_unknots(self):
-        system = build_gss(ConwayForm.parse("4,3,2"))
-        assert system.components == ((0, 0), (0, 0))
-
 
 class TestClosedForm:
     def test_worked_example(self):
