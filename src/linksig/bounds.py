@@ -6,6 +6,10 @@ for its individual components, and pairwise linking numbers.  Matrix data
 never enters, so published invariant values can be evaluated directly even
 when the underlying Seifert matrices are not available.
 
+The one-variable (Levine-Tristram) splitting bound is the multivariable
+bound on the diagonal omega = (w, ..., w), where the multivariable signature
+is sigma_LT + sum lk; :func:`splitting_bound_lt` evaluates it that way.
+
 Parity diagnostics ride along: the splitting number has the parity of the
 total linking number, so a reported bound of matching parity cannot be
 improved by one.
@@ -14,12 +18,14 @@ improved by one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from math import isqrt
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .ccomplex import TorusPoint, record_field
+from .hermitian import exact_int, exact_int_rows
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class ComponentInvariants:
 
     @classmethod
     def of(cls, *pairs) -> "ComponentInvariants":
-        return cls(tuple(int(s) for s, _ in pairs), tuple(int(e) for _, e in pairs))
+        return cls(tuple(exact_int(s) for s, _ in pairs), tuple(exact_int(e) for _, e in pairs))
 
     @classmethod
     def from_records(cls, records) -> "ComponentInvariants":
@@ -90,6 +96,11 @@ class BoundReport:
         return " ".join(parts)
 
 
+def _check_omega(omega: TorusPoint | None, mu: int) -> None:
+    if omega is not None and omega.mu != mu:
+        raise ValueError(f"omega has {omega.mu} coordinates, expected {mu}")
+
+
 def splitting_bound_multivariable(
     mu: int,
     sigma_l: int,
@@ -108,6 +119,7 @@ def splitting_bound_multivariable(
         raise ValueError("eta_l must be non-negative")
     if comps.mu != mu:
         raise ValueError(f"component data for {comps.mu} colors, expected {mu}")
+    _check_omega(omega, mu)
     value = abs(sigma_l - comps.sigma_total) + abs(mu - 1 - eta_l + comps.eta_total)
     return BoundReport(
         bound_name="split-multi",
@@ -128,50 +140,57 @@ def splitting_bound_lt(
     """Splitting bound from the one-variable invariants at a common point:
 
         |sigma_L + sum lk - sum sigma_i| + |mu - 1 - eta_L + sum eta_i|
+
+    that is, the multivariable bound on the diagonal.
     """
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
-    if eta_lt < 0:
-        raise ValueError("eta_lt must be non-negative")
-    if comps.mu != mu:
-        raise ValueError(f"component data for {comps.mu} colors, expected {mu}")
-    value = abs(sigma_lt + total_linking - comps.sigma_total) + abs(
-        mu - 1 - eta_lt + comps.eta_total
+    report = splitting_bound_multivariable(
+        mu, sigma_lt + total_linking, eta_lt, comps, omega, total_linking
     )
-    return BoundReport(
-        bound_name="split-lt",
-        value=value,
-        omega=omega,
-        parity_of_total_linking=total_linking % 2,
-        details={"total_lk": total_linking},
-    )
+    return replace(report, bound_name="split-lt", details={"total_lk": total_linking})
 
 
-def _linking_pairs(linking) -> tuple[int, list[tuple[int, int, int]]]:
+def _linking_pairs(linking, mu: int | None = None) -> list[tuple[int, int, int]]:
+    """The pairs (i, j, lk_ij), i < j, of the linking data of a mu-colored link.
+
+    ``linking`` is a symmetric mu x mu matrix, or its upper triangle as a
+    flat row-major list of mu(mu-1)/2 values; ``mu`` defaults to the size
+    the data implies.  Entries are read by :func:`exact_int`.
+    """
     lk = np.asarray(linking)
-    if lk.ndim != 2 or lk.shape[0] != lk.shape[1]:
-        raise ValueError("linking data must be a square matrix")
-    if not np.array_equal(lk, lk.T):
-        raise ValueError("linking matrix must be symmetric")
-    mu = lk.shape[0]
-    pairs = [(i, j, int(lk[i][j])) for i in range(mu) for j in range(i + 1, mu)]
-    return mu, pairs
+    if lk.ndim == 2:
+        rows = exact_int_rows(lk)
+        size = len(rows)
+        if any(rows[i][j] != rows[j][i] for i in range(size) for j in range(i)):
+            raise ValueError("linking matrix must be symmetric")
+        values = [rows[i][j] for i in range(size) for j in range(i + 1, size)]
+    elif lk.ndim == 1:
+        values = [exact_int(v) for v in lk.tolist()]
+    else:
+        raise ValueError("linking data must be a square matrix or its upper triangle")
+    if mu is None:  # the size whose upper triangle has len(values) entries, if any
+        mu = (1 + isqrt(1 + 8 * len(values))) // 2
+        if mu * (mu - 1) // 2 != len(values):
+            raise ValueError(f"{len(values)} linking values do not fill an upper triangle")
+    pairs = [(i, j) for i in range(mu) for j in range(i + 1, mu)]
+    if len(values) != len(pairs):
+        raise ValueError(f"linking data needs {len(pairs)} values for mu={mu}, got {len(values)}")
+    return [(i, j, lk) for (i, j), lk in zip(pairs, values)]
 
 
 def linking_number_bound(
-    linking, nonsplit: Mapping[tuple[int, int], bool] | None = None
+    linking, nonsplit: Mapping[tuple[int, int], bool] | None = None, mu: int | None = None
 ) -> BoundReport:
     """Sum of pairwise linking contributions.
 
     Each pair contributes 0 when split, 2 when non-split with vanishing
     linking number, |lk| otherwise.  Pairs with lk = 0 must come with an
     explicit non-split flag; linked pairs are non-split automatically.
+    ``linking`` takes either form that :func:`_linking_pairs` reads.
     """
     flags = dict(nonsplit or {})
-    _, pairs = _linking_pairs(linking)
     value = 0
     total = 0
-    for i, j, lk in pairs:
+    for i, j, lk in _linking_pairs(linking, mu):
         total += lk
         if lk != 0:
             value += abs(lk)
@@ -214,6 +233,7 @@ def rank_obstruction(
     base = mu - 1 - beta_est
     violated = False
     for omega, sigma_l, eta_l, comps in samples:
+        _check_omega(omega, mu)
         if eta_l != beta_est:
             raise ValueError(
                 f"sample at omega={omega} has eta={eta_l}, expected beta_est={beta_est}; "
@@ -243,17 +263,13 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
         |sigma_L| + |mu - 1 - eta_L| + sum |lk|
 
     rounded up.  The raw value is at most twice the unlinking number.
+    ``linking`` takes either form that :func:`_linking_pairs` reads.
     """
     if mu < 1:
         raise ValueError("mu must be at least 1")
     if eta_l < 0:
         raise ValueError("eta_l must be non-negative")
-    lk = np.asarray(linking)
-    if lk.ndim == 2:
-        _, pairs = _linking_pairs(lk)
-        lk_abs = sum(abs(v) for _, _, v in pairs)
-    else:
-        lk_abs = sum(abs(int(v)) for v in np.ravel(lk).tolist())
+    lk_abs = sum(abs(lk) for _, _, lk in _linking_pairs(linking, mu))
     raw = abs(sigma_l) + abs(mu - 1 - eta_l) + lk_abs
     return BoundReport(
         bound_name="unlink",
@@ -262,10 +278,15 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
     )
 
 
-def _fixture_omega(record) -> TorusPoint | None:
-    if "omega" not in record:
-        return None
-    return TorusPoint.from_strings(record_field(record, "omega", list))
+def _point_record(record) -> tuple:
+    """(omega, sigma_L, eta_L, components) of a fixture or of a rank sample."""
+    omega = record_field(record, "omega", list) if "omega" in record else None
+    return (
+        None if omega is None else TorusPoint.from_strings(omega),
+        record_field(record, "sigma_L"),
+        record_field(record, "eta_L"),
+        ComponentInvariants.from_records(record_field(record, "components", list)),
+    )
 
 
 def evaluate_fixture(record: Mapping) -> BoundReport:
@@ -278,40 +299,15 @@ def evaluate_fixture(record: Mapping) -> BoundReport:
     mu = record_field(record, "mu")
     total = None if record.get("total_lk") is None else record_field(record, "total_lk")
 
-    if kind == "lt":
-        return splitting_bound_lt(
-            mu=mu,
-            sigma_lt=record_field(record, "sigma_L"),
-            eta_lt=record_field(record, "eta_L"),
-            total_linking=record_field(record, "total_lk"),
-            comps=ComponentInvariants.from_records(record_field(record, "components", list)),
-            omega=_fixture_omega(record),
-        )
-    if kind == "multi":
-        return splitting_bound_multivariable(
-            mu=mu,
-            sigma_l=record_field(record, "sigma_L"),
-            eta_l=record_field(record, "eta_L"),
-            comps=ComponentInvariants.from_records(record_field(record, "components", list)),
-            omega=_fixture_omega(record),
-            total_linking=total,
-        )
+    if kind in ("lt", "multi"):
+        omega, sigma, eta, comps = _point_record(record)
+        if kind == "lt":
+            total = record_field(record, "total_lk")
+            return splitting_bound_lt(mu, sigma, eta, total, comps, omega)
+        return splitting_bound_multivariable(mu, sigma, eta, comps, omega, total)
     if kind == "rank":
-        samples = [
-            (
-                _fixture_omega(sample),
-                record_field(sample, "sigma_L"),
-                record_field(sample, "eta_L"),
-                ComponentInvariants.from_records(record_field(sample, "components", list)),
-            )
-            for sample in record_field(record, "samples", list)
-        ]
-        return rank_obstruction(
-            mu=mu,
-            beta_est=record_field(record, "beta_est"),
-            samples=samples,
-            total_linking=total,
-        )
+        samples = [_point_record(sample) for sample in record_field(record, "samples", list)]
+        return rank_obstruction(mu, record_field(record, "beta_est"), samples, total)
     raise ValueError(f"unknown fixture kind {kind!r}")
 
 

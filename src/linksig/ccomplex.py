@@ -149,6 +149,17 @@ class TorusPoint:
         return ",".join(str(q) for q in self.fractions)
 
 
+def _as_array(value) -> np.ndarray:
+    """``np.asarray(value)``, kept as Python objects when a nested list holds a
+    boolean: numpy would turn ``True`` among numbers into 1, which
+    :func:`validate` must see and reject."""
+    array = np.asarray(value)
+    if array.ndim == 2 and isinstance(value, list):
+        if bool in set(map(type, itertools.chain.from_iterable(value))):
+            return np.asarray(value, dtype=object)
+    return array
+
+
 class GeneralizedSeifertSystem:
     """A colored link given by its canonical family of Seifert matrices.
 
@@ -173,12 +184,12 @@ class GeneralizedSeifertSystem:
         normalized = {}
         for key, value in dict(matrices).items():
             pattern = pattern_from_string(key) if isinstance(key, str) else tuple(key)
-            array = np.asarray(value)
+            array = _as_array(value)
             if array.size == 0:
                 array = array.reshape(0, 0)
             normalized[pattern] = array
         self.matrices = normalized
-        self.linking = None if linking is None else np.asarray(linking)
+        self.linking = None if linking is None else _as_array(linking)
         self.name = name
 
     def matrix(self, pattern: SignPattern) -> np.ndarray:

@@ -20,7 +20,6 @@ from .bounds import (
     ComponentInvariants,
     evaluate_fixture,
     linking_number_bound,
-    splitting_bound_lt,
     splitting_bound_multivariable,
     unlinking_bound,
 )
@@ -35,9 +34,9 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 
-def _parse_omega(text: str, mu: int | None = None) -> TorusPoint:
+def _parse_omega(text: str, mu: int) -> TorusPoint:
     point = TorusPoint.from_strings(text.split(","))
-    if mu is not None and point.mu != mu:
+    if point.mu != mu:
         raise ValueError(f"omega has {point.mu} coordinates, the system has {mu} colors")
     return point
 
@@ -78,18 +77,11 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _inline_components(args, mu: int) -> ComponentInvariants:
-    if not args.component:
-        return ComponentInvariants.unknots(mu)
-    pairs = []
-    for item in args.component:
-        fields = item.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"--component expects 'sigma,eta', got {item!r}")
-        pairs.append((int(fields[0]), int(fields[1])))
-    if len(pairs) != mu:
-        raise ValueError(f"{len(pairs)} --component values for {mu} colors")
-    return ComponentInvariants.of(*pairs)
+def _component_record(item: str) -> dict:
+    fields = item.split(",")
+    if len(fields) != 2:
+        raise ValueError(f"--component expects 'sigma,eta', got {item!r}")
+    return {"sigma": int(fields[0]), "eta": int(fields[1])}
 
 
 def _require(args, names) -> None:
@@ -98,25 +90,20 @@ def _require(args, names) -> None:
         raise ValueError(f"missing required inputs: {', '.join(missing)}")
 
 
-def _linking_matrix(args):
-    values = [int(v) for v in args.lk.split(",")]
-    mu = args.mu
-    if mu is None:
-        # smallest mu with mu*(mu-1)/2 upper-triangle entries
-        mu = next((m for m in range(2, 20) if m * (m - 1) // 2 == len(values)), None)
-        if mu is None:
-            raise ValueError(f"{len(values)} linking values do not fill an upper triangle")
-    matrix = [[0] * mu for _ in range(mu)]
-    it = iter(values)
-    try:
-        for i in range(mu):
-            for j in range(i + 1, mu):
-                matrix[i][j] = matrix[j][i] = next(it)
-    except StopIteration:
-        raise ValueError(f"--lk needs {mu * (mu - 1) // 2} values for mu={mu}") from None
-    if any(True for _ in it):
-        raise ValueError(f"--lk needs {mu * (mu - 1) // 2} values for mu={mu}")
-    return mu, matrix
+def _inline_record(args, kind: str) -> dict:
+    """The fixture record that the inline flags of split-lt/split-multi describe."""
+    _require(args, ["mu", "sigma_l", "eta_l"] + ["total_lk"] * (kind == "lt"))
+    record = {
+        "kind": kind,
+        "mu": args.mu,
+        "sigma_L": args.sigma_l,
+        "eta_L": args.eta_l,
+        "total_lk": args.total_lk,
+        "components": [_component_record(c) for c in args.component or ["0,0"] * args.mu],
+    }
+    if args.omega:
+        record["omega"] = args.omega.split(",")
+    return record
 
 
 def _pair_flags(items, flag: bool) -> dict:
@@ -131,56 +118,34 @@ def _pair_flags(items, flag: bool) -> dict:
 
 
 def cmd_bound(args) -> int:
-    kind_by_formula = {"split-lt": "lt", "split-multi": "multi", "rank": "rank"}
-    name = None
+    kind = {"split-lt": "lt", "split-multi": "multi", "rank": "rank"}.get(args.formula)
+    if args.fixture is not None and kind is None:
+        raise ValueError(f"formula {args.formula!r} takes inline flags, not a fixture file")
+    if kind is None:
+        _require(args, ["lk"] if args.formula == "linking" else ["mu", "sigma_l", "eta_l", "lk"])
+        lk = [int(v) for v in args.lk.split(",")]
+        if args.formula == "linking":
+            flags = _pair_flags(args.nonsplit, True)
+            flags.update(_pair_flags(args.split, False))
+            report = linking_number_bound(lk, flags, args.mu)
+        else:
+            report = unlinking_bound(args.mu, args.sigma_l, args.eta_l, lk)
+        print(report.render())
+        return EXIT_OK
 
     if args.fixture is not None:
-        if args.formula not in kind_by_formula:
-            raise ValueError(f"formula {args.formula!r} takes inline flags, not a fixture file")
         record = catalog.resolve_fixture(args.fixture)
-        expected_kind = kind_by_formula[args.formula]
-        if record.get("kind") != expected_kind:
+        if record.get("kind") != kind:
             raise ValueError(
                 f"fixture {record.get('name', args.fixture)!r} has kind "
-                f"{record.get('kind')!r}, expected {expected_kind!r}"
+                f"{record.get('kind')!r}, expected {kind!r}"
             )
-        report = evaluate_fixture(record)
-        name = record.get("name")
-    elif args.formula == "split-lt":
-        _require(args, ["mu", "sigma_l", "eta_l", "total_lk"])
-        report = splitting_bound_lt(
-            mu=args.mu,
-            sigma_lt=args.sigma_l,
-            eta_lt=args.eta_l,
-            total_linking=args.total_lk,
-            comps=_inline_components(args, args.mu),
-            omega=_parse_omega(args.omega) if args.omega else None,
-        )
-    elif args.formula == "split-multi":
-        _require(args, ["mu", "sigma_l", "eta_l"])
-        report = splitting_bound_multivariable(
-            mu=args.mu,
-            sigma_l=args.sigma_l,
-            eta_l=args.eta_l,
-            comps=_inline_components(args, args.mu),
-            omega=_parse_omega(args.omega) if args.omega else None,
-            total_linking=args.total_lk,
-        )
-    elif args.formula == "linking":
-        _require(args, ["lk"])
-        _, matrix = _linking_matrix(args)
-        flags = _pair_flags(args.nonsplit, True)
-        flags.update(_pair_flags(args.split, False))
-        report = linking_number_bound(matrix, flags)
-    elif args.formula == "unlink":
-        _require(args, ["mu", "sigma_l", "eta_l", "lk"])
-        values = [int(v) for v in args.lk.split(",")]
-        report = unlinking_bound(args.mu, args.sigma_l, args.eta_l, values)
-    else:  # rank without a fixture
+    elif kind == "rank":
         raise ValueError("the rank obstruction is evaluated from a fixture file")
-
-    prefix = f"name={name} " if name else ""
-    print(prefix + report.render())
+    else:
+        record = _inline_record(args, kind)
+    name = record.get("name")
+    print((f"name={name} " if name else "") + evaluate_fixture(record).render())
     return EXIT_OK
 
 
@@ -229,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--sigma-l", dest="sigma_l", type=int)
     p_bound.add_argument("--eta-l", dest="eta_l", type=int)
     p_bound.add_argument("--total-lk", dest="total_lk", type=int)
-    p_bound.add_argument("--lk", help="comma-separated pairwise linking numbers, i<j row-major")
+    p_bound.add_argument("--lk", help="the mu(mu-1)/2 pairwise linking numbers, i<j row-major")
     p_bound.add_argument("--component", action="append", help="per-color 'sigma,eta', repeatable")
     p_bound.add_argument("--nonsplit", action="append", help="1-based pair 'i,j' known non-split")
     p_bound.add_argument("--split", action="append", help="1-based pair 'i,j' known split")
-    p_bound.add_argument("--omega", help="evaluation point, for the report only")
+    p_bound.add_argument("--omega", help="evaluation point, mu coordinates, for the report only")
     p_bound.set_defaults(func=cmd_bound)
 
     p_tb = sub.add_parser("twobridge", help="two-bridge construction C(2a_1,b_1,...,2a_n)")

@@ -141,6 +141,26 @@ class TestLinkingNumberBound:
         assert report.value == 2 + 3 + 2
         assert report.parity_of_total_linking == (2 - 3) % 2
 
+    def test_flat_upper_triangle(self):
+        # lk_12, lk_13, lk_23 of the matrix above; mu follows from the count
+        matrix = linking_number_bound([[0, 2, 0], [2, 0, -3], [0, -3, 0]], {(0, 2): True})
+        assert linking_number_bound([2, 0, -3], {(0, 2): True}) == matrix
+        assert linking_number_bound([2, 0, -3], {(0, 2): True}, mu=3) == matrix
+
+    @pytest.mark.parametrize(
+        "linking, mu, message",
+        [
+            ([1], 3, "needs 3 values for mu=3, got 1"),
+            ([[0, 1], [1, 0]], 3, "needs 3 values for mu=3, got 1"),
+            ([1, 2], None, "2 linking values do not fill an upper triangle"),
+            ([[0, 1], [2, 0]], None, "symmetric"),
+        ],
+        ids=["flat-short", "matrix-too-small", "flat-not-triangular", "asymmetric"],
+    )
+    def test_malformed_linking_data(self, linking, mu, message):
+        with pytest.raises(ValueError, match=message):
+            linking_number_bound(linking, {}, mu)
+
 
 class TestRankObstruction:
     def test_base_bound(self):
@@ -194,6 +214,24 @@ class TestUnlinkingBound:
 
     def test_odd_raw_rounds_up(self):
         assert unlinking_bound(2, -2, 0, [0]).value == 2  # raw 3
+
+    def test_linking_count_must_match_mu(self):
+        # mu = 3 has three pairs; a single value used to be summed as if complete
+        with pytest.raises(ValueError, match="needs 3 values for mu=3, got 1"):
+            unlinking_bound(3, 0, 0, [1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ComponentInvariants.of((1.7, 0), (0, 0)), id="component-sigma"),
+        pytest.param(lambda: linking_number_bound([[0, 1.5], [1.5, 0]]), id="linking-matrix"),
+        pytest.param(lambda: unlinking_bound(2, 0, 0, [2.5]), id="unlink-flat-list"),
+    ],
+)
+def test_non_integer_input_is_rejected_not_truncated(call):
+    with pytest.raises(ValueError, match="non-integer value"):
+        call()
 
 
 class TestBoundReport:

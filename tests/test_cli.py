@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,15 @@ def write_zero_system(tmp_path, mu=2, rank=3):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+# The values of a mu = 2 link at a point with one coordinate too many.
+THREE_COORDINATE_POINT = {
+    "omega": ["1/2"] * 3,
+    "sigma_L": 0,
+    "eta_L": 0,
+    "components": [{"sigma": 0, "eta": 0}] * 2,
+}
 
 
 class TestSig:
@@ -59,7 +70,8 @@ class TestSig:
         assert code == 3
         assert "missing" in err
 
-    @pytest.mark.parametrize("entry", ["Infinity", "NaN", "null", "0.5", '"1"'])
+    # true among numbers: np.asarray would otherwise read it as 1
+    @pytest.mark.parametrize("entry", ["Infinity", "NaN", "null", "0.5", '"1"', "true"])
     def test_non_finite_entry_exits_3(self, capsys, tmp_path, entry):
         path = tmp_path / "nonfinite.json"
         path.write_text(
@@ -82,18 +94,19 @@ class TestSig:
         assert f"field {field!r}" in err
 
     def test_non_integer_linking_exits_3(self, capsys, tmp_path):
-        doc = {
-            "mu": 2,
-            "rank": 0,
-            "matrices": {"++": [], "+-": []},
-            "linking": [[0, 0.5], [0.5, 0]],
-        }
-        path = tmp_path / "linking.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run(capsys, "sig", str(path), "--omega", "1/2,1/2")
-        assert code == 3
-        assert out == ""
-        assert "linking matrix has non-integer entries" in err
+        for entry in [0.5, True]:
+            doc = {
+                "mu": 2,
+                "rank": 0,
+                "matrices": {"++": [], "+-": []},
+                "linking": [[0, entry], [entry, 0]],
+            }
+            path = tmp_path / "linking.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = run(capsys, "sig", str(path), "--omega", "1/2,1/2")
+            assert code == 3
+            assert out == ""
+            assert "linking matrix has non-integer entries" in err
 
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -233,6 +246,41 @@ class TestBound:
         assert code == 2
         assert "missing required" in err
 
+    @pytest.mark.parametrize(
+        "argv, record",
+        [
+            (["split-multi", "--mu", "2", "--sigma-l", "0", "--eta-l", "0",
+              "--omega", "1/2,1/2,1/2"], None),
+            (["split-lt"], {"kind": "lt", "mu": 2, "total_lk": 1, **THREE_COORDINATE_POINT}),
+            (["rank"], {"kind": "rank", "mu": 2, "beta_est": 0,
+                        "samples": [THREE_COORDINATE_POINT]}),
+        ],
+        ids=["inline", "fixture", "rank-sample"],
+    )
+    def test_omega_count_mismatch_exits_2(self, capsys, tmp_path, argv, record):
+        if record is not None:
+            path = tmp_path / "fix.json"
+            path.write_text(json.dumps(record), encoding="utf-8")
+            argv = argv + [str(path)]
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: omega has 3 coordinates, expected 2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linking", "--lk", "1", "--mu", "3"],
+            ["unlink", "--mu", "3", "--sigma-l", "0", "--eta-l", "0", "--lk", "1"],
+        ],
+        ids=["linking", "unlink"],
+    )
+    def test_lk_count_mismatch_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: linking data needs 3 values for mu=3, got 1\n"
+
     def test_linking_hopf(self, capsys):
         code, out, _ = run(capsys, "bound", "linking", "--lk", "1")
         assert code == 0
@@ -311,3 +359,31 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "nonsense"])
         assert exc.value.code == 2
+
+
+def readme_commands() -> list[tuple[list[str], str]]:
+    """(argv, expected output) of every command in the README "Command line" block.
+
+    A command's expected text follows ``# ->`` on the same line or alone on the next one.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    cases = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, expect = line.partition("# ->")
+        if command.startswith("linksig "):
+            cases.append((shlex.split(command)[1:], expect.strip()))
+        elif expect and not command.strip():
+            cases[-1] = (cases[-1][0], expect.strip())
+    return cases
+
+
+def test_readme_command_line_examples(capsys, tmp_path):
+    cases = readme_commands()
+    assert len(cases) >= 10
+    for argv, expect in cases:
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "out.csv")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert expect and expect in out, (argv, out)
