@@ -96,7 +96,9 @@ class BoundReport:
         return " ".join(parts)
 
 
-def _check_omega(omega: TorusPoint | None, mu: int) -> None:
+def _check_point(mu: int, omega: TorusPoint | None, comps: ComponentInvariants) -> None:
+    if comps.mu != mu:
+        raise ValueError(f"component data for {comps.mu} colors, expected {mu}")
     if omega is not None and omega.mu != mu:
         raise ValueError(f"omega has {omega.mu} coordinates, expected {mu}")
 
@@ -112,14 +114,16 @@ def splitting_bound_multivariable(
     """Splitting bound from the multivariable invariants at one point:
 
         |sigma_L - sum sigma_i| + |mu - 1 - eta_L + sum eta_i|
+
+    ``sigma_l``, ``eta_l`` and ``total_linking`` are read by :func:`exact_int`.
     """
+    sigma_l, eta_l = exact_int(sigma_l), exact_int(eta_l)
+    total_linking = None if total_linking is None else exact_int(total_linking)
     if mu < 1:
         raise ValueError("mu must be at least 1")
     if eta_l < 0:
         raise ValueError("eta_l must be non-negative")
-    if comps.mu != mu:
-        raise ValueError(f"component data for {comps.mu} colors, expected {mu}")
-    _check_omega(omega, mu)
+    _check_point(mu, omega, comps)
     value = abs(sigma_l - comps.sigma_total) + abs(mu - 1 - eta_l + comps.eta_total)
     return BoundReport(
         bound_name="split-multi",
@@ -141,8 +145,11 @@ def splitting_bound_lt(
 
         |sigma_L + sum lk - sum sigma_i| + |mu - 1 - eta_L + sum eta_i|
 
-    that is, the multivariable bound on the diagonal.
+    that is, the multivariable bound on the diagonal.  ``sigma_lt``,
+    ``eta_lt`` and ``total_linking`` are read by :func:`exact_int`.
     """
+    sigma_lt, eta_lt = exact_int(sigma_lt), exact_int(eta_lt)
+    total_linking = exact_int(total_linking)
     report = splitting_bound_multivariable(
         mu, sigma_lt + total_linking, eta_lt, comps, omega, total_linking
     )
@@ -224,8 +231,12 @@ def rank_obstruction(
     signature additivity, or some component has positive nullity there,
     the bound mu - 1 - beta cannot be attained, so the conclusion becomes
     strict; with the total linking parity supplied, it is pushed further
-    to the next value of the correct parity.
+    to the next value of the correct parity.  ``beta_est``,
+    ``total_linking`` and each sample's ``sigma_l`` and ``eta_l`` are read by
+    :func:`exact_int`.
     """
+    beta_est = exact_int(beta_est)
+    total_linking = None if total_linking is None else exact_int(total_linking)
     if mu < 1:
         raise ValueError("mu must be at least 1")
     if beta_est < 0:
@@ -233,7 +244,8 @@ def rank_obstruction(
     base = mu - 1 - beta_est
     violated = False
     for omega, sigma_l, eta_l, comps in samples:
-        _check_omega(omega, mu)
+        sigma_l, eta_l = exact_int(sigma_l), exact_int(eta_l)
+        _check_point(mu, omega, comps)
         if eta_l != beta_est:
             raise ValueError(
                 f"sample at omega={omega} has eta={eta_l}, expected beta_est={beta_est}; "
@@ -263,8 +275,10 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
         |sigma_L| + |mu - 1 - eta_L| + sum |lk|
 
     rounded up.  The raw value is at most twice the unlinking number.
-    ``linking`` takes either form that :func:`_linking_pairs` reads.
+    ``linking`` takes either form that :func:`_linking_pairs` reads;
+    ``sigma_l`` and ``eta_l`` are read by :func:`exact_int`.
     """
+    sigma_l, eta_l = exact_int(sigma_l), exact_int(eta_l)
     if mu < 1:
         raise ValueError("mu must be at least 1")
     if eta_l < 0:

@@ -15,6 +15,14 @@ differ from an LU determinant), and the sign of the real determinant,
 (-1)^negatives, set to 0 when the nullity is positive.  The sign going
 through zero between neighbouring samples is the discrete trace of the
 zero locus, across which the signature is allowed to change.
+
+A scan classifies only one point of each conjugate pair (omega, conj omega)
+and mirrors the other.  Every A^eps is a real matrix (``validate`` demands
+integer entries), so H(conj omega) = conj(H(omega)), which has the same
+spectrum: sigma, eta and |det H| agree at the two points.  Conjugating every
+coordinate sends grid fraction k/(R+1) to (R+1-k)/(R+1), that is flat index
+i of the row-major grid to N-1-i.  Conjugating only some coordinates is no
+symmetry: it reverses the orientation of those colors.
 """
 
 from __future__ import annotations
@@ -174,15 +182,25 @@ def torus_scan(
 ) -> ScanGrid:
     """Sample sigma, eta and |det H| on the full R^mu grid, row-major.
 
-    With odd R the middle sample is the all-1/2 point; its inertia is the
-    exact one of :func:`h_at_minus_ones`.
+    Only the first ceil(N/2) of the N = R^mu samples are classified; sample
+    N-1-i is the joint conjugate of sample i and takes its values.  That
+    rests on every A^eps being real, which :func:`validate` guarantees; a
+    non-real A^eps would make H non-Hermitian, which :func:`inertia_stack`
+    rejects on the half that is computed.
+
+    With odd R the middle sample is its own conjugate and the all-1/2
+    point; its inertia is the exact one of :func:`h_at_minus_ones`.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     axis = np.array([torus_coordinate(q) for q in _axis(resolution)])
     grids = np.meshgrid(*[axis] * gss.mu, indexing="ij")
     values = np.stack(grids, axis=-1).reshape(-1, gss.mu)
-    positives, negatives, abs_det = _inertia(gss, values, tol)
+    mirrored = len(values) // 2
+    computed = _inertia(gss, values[: len(values) - mirrored], tol)
+    positives, negatives, abs_det = (
+        np.concatenate((half, half[:mirrored][::-1])) for half in computed
+    )
     if resolution % 2:
         exact = integer_symmetric_signature(h_at_minus_ones(gss))
         middle = np.ravel_multi_index((resolution // 2,) * gss.mu, (resolution,) * gss.mu)
@@ -231,17 +249,22 @@ def undetected_sigma_jumps(grid: ScanGrid) -> list[tuple[int, int]]:
 
 def scan_to_csv(grid: ScanGrid) -> str:
     """Render a scan as CSV, angles in decimal with 12 significant digits."""
-    header = ",".join(f"theta_{i + 1}" for i in range(grid.mu)) + ",sigma,eta,absdet"
-    labels = [f"{float(q):.12g}" for q in _axis(grid.resolution)]
-    rows = [header]
-    for angles, sigma, eta, abs_det in zip(
-        itertools.product(labels, repeat=grid.mu),
-        grid.sigma.tolist(),
-        grid.eta.tolist(),
-        grid.abs_det.tolist(),
-    ):
-        rows.append(f"{','.join(angles)},{sigma},{eta},{abs_det:.12g}")
-    return "\n".join(rows) + "\n"
+    header = ",".join(f"theta_{i + 1}" for i in range(grid.mu)) + ",sigma,eta,absdet\n"
+    labels = [f"{float(q):.12g}," for q in _axis(grid.resolution)]
+    # The angles of all axes but the last, joined once per row prefix.
+    prefixes = ["".join(p) for p in itertools.product(labels, repeat=grid.mu - 1)]
+    # %-formatting renders the same text as format(.12g), and faster.
+    rows = map(
+        "%s%s%d,%d,%.12g\n".__mod__,
+        zip(
+            itertools.chain.from_iterable(itertools.repeat(p, len(labels)) for p in prefixes),
+            itertools.cycle(labels),
+            grid.sigma.tolist(),
+            grid.eta.tolist(),
+            grid.abs_det.tolist(),
+        ),
+    )
+    return "".join(itertools.chain([header], rows))
 
 
 def write_scan_csv(grid: ScanGrid, path) -> None:

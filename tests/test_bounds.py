@@ -169,6 +169,10 @@ class TestRankObstruction:
     def test_exhausted_bound(self):
         assert rank_obstruction(3, 2, []).value == 0
 
+    def test_integral_float_is_read_as_int(self):
+        report = rank_obstruction(2, 0.0, [])
+        assert report.render() == "formula=rank value=1 additivity_violated=no base=1"
+
     def test_additivity_violation_with_parity(self):
         sample = (TorusPoint.from_strings(["1/3", "2/3"]), 2, 0, UNKNOTS_2)
         report = rank_obstruction(2, 0, [sample], total_linking=1)
@@ -227,6 +231,11 @@ class TestUnlinkingBound:
         pytest.param(lambda: ComponentInvariants.of((1.7, 0), (0, 0)), id="component-sigma"),
         pytest.param(lambda: linking_number_bound([[0, 1.5], [1.5, 0]]), id="linking-matrix"),
         pytest.param(lambda: unlinking_bound(2, 0, 0, [2.5]), id="unlink-flat-list"),
+        pytest.param(
+            lambda: splitting_bound_multivariable(2, 5.5, 0, UNKNOTS_2), id="split-multi-sigma"
+        ),
+        pytest.param(lambda: unlinking_bound(2, 0.5, 0, [1]), id="unlink-sigma"),
+        pytest.param(lambda: rank_obstruction(2, 0.5, []), id="rank-beta"),
     ],
 )
 def test_non_integer_input_is_rejected_not_truncated(call):

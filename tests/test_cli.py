@@ -247,17 +247,23 @@ class TestBound:
         assert "missing required" in err
 
     @pytest.mark.parametrize(
-        "argv, record",
+        "argv, record, error",
         [
             (["split-multi", "--mu", "2", "--sigma-l", "0", "--eta-l", "0",
-              "--omega", "1/2,1/2,1/2"], None),
-            (["split-lt"], {"kind": "lt", "mu": 2, "total_lk": 1, **THREE_COORDINATE_POINT}),
+              "--omega", "1/2,1/2,1/2"], None, "omega has 3 coordinates, expected 2"),
+            (["split-lt"], {"kind": "lt", "mu": 2, "total_lk": 1, **THREE_COORDINATE_POINT},
+             "omega has 3 coordinates, expected 2"),
             (["rank"], {"kind": "rank", "mu": 2, "beta_est": 0,
-                        "samples": [THREE_COORDINATE_POINT]}),
+                        "samples": [THREE_COORDINATE_POINT]},
+             "omega has 3 coordinates, expected 2"),
+            (["rank"], {"kind": "rank", "mu": 2, "beta_est": 0,
+                        "samples": [{"sigma_L": 0, "eta_L": 0,
+                                     "components": [{"sigma": 0, "eta": 0}] * 3}]},
+             "component data for 3 colors, expected 2"),
         ],
-        ids=["inline", "fixture", "rank-sample"],
+        ids=["inline", "fixture", "rank-sample", "rank-sample-components"],
     )
-    def test_omega_count_mismatch_exits_2(self, capsys, tmp_path, argv, record):
+    def test_omega_count_mismatch_exits_2(self, capsys, tmp_path, argv, record, error):
         if record is not None:
             path = tmp_path / "fix.json"
             path.write_text(json.dumps(record), encoding="utf-8")
@@ -265,7 +271,7 @@ class TestBound:
         code, out, err = run(capsys, "bound", *argv)
         assert code == 2
         assert out == ""
-        assert err == "error: omega has 3 coordinates, expected 2\n"
+        assert err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -195,11 +195,28 @@ class TestTorusScan:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         grid = torus_scan(system, 7)
         monkeypatch.undo()
-        assert len(calls) == -(-7**2 // per_chunk)
+        assert len(calls) == -(-25 // per_chunk)  # ceil(7^2 / 2) points classified
         for sample in grid.samples:
             assert (sample.sigma, sample.eta) == signature_nullity(system, sample.omega)
             eigenvalues = np.linalg.eigvalsh(assemble_h(system, sample.omega))
             assert sample.abs_det == pytest.approx(np.prod(np.abs(eigenvalues)), rel=1e-9)
+
+    def test_scan_classifies_one_point_per_conjugate_pair(self, monkeypatch, example_system):
+        eigvalsh = np.linalg.eigvalsh
+        for mu, resolution in itertools.product((1, 2, 3), (1, 2, 5, 6)):
+            system = random_system(np.random.default_rng(mu), mu, 3)
+            matrices = []
+            monkeypatch.setattr(
+                np.linalg, "eigvalsh", lambda a: matrices.append(len(a)) or eigvalsh(a)
+            )
+            torus_scan(system, resolution)
+            monkeypatch.undo()
+            assert sum(matrices) == -(-(resolution**mu) // 2)
+        sigma = torus_scan(example_system, 5).sigma.reshape(5, 5)
+        assert np.array_equal(sigma, sigma[::-1, ::-1])
+        # conjugating one coordinate reverses that color: no symmetry
+        assert not np.array_equal(sigma, sigma[::-1, :])
+        assert not np.array_equal(sigma, sigma[:, ::-1])
 
     @pytest.mark.parametrize(
         "mu, matrices",
