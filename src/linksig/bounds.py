@@ -17,7 +17,6 @@ improved by one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from math import isqrt
 from typing import Mapping, Sequence
@@ -294,6 +293,8 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
 
 def _point_record(record) -> tuple:
     """(omega, sigma_L, eta_L, components) of a fixture or of a rank sample."""
+    if not isinstance(record, Mapping):
+        raise ValueError(f"malformed record: {record!r} is not an object")
     omega = record_field(record, "omega", list) if "omega" in record else None
     return (
         None if omega is None else TorusPoint.from_strings(omega),
@@ -323,14 +324,3 @@ def evaluate_fixture(record: Mapping) -> BoundReport:
         samples = [_point_record(sample) for sample in record_field(record, "samples", list)]
         return rank_obstruction(mu, record_field(record, "beta_est"), samples, total)
     raise ValueError(f"unknown fixture kind {kind!r}")
-
-
-def load_fixture_file(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            record = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: fixture record must be a JSON object")
-    return record

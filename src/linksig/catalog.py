@@ -23,6 +23,14 @@ class CatalogError(Exception):
     """Shipped catalog data failed its self-check."""
 
 
+class InvalidSystem(Exception):
+    """A system breaks structural invariants; ``problems`` holds one message each."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
 def _data_dir(kind: str):
     return resources.files("linksig").joinpath("data").joinpath(kind)
 
@@ -54,42 +62,46 @@ def system_names() -> list[str]:
     return sorted(system_records())
 
 
-def load_fixture(name: str) -> dict:
-    records = fixture_records()
+def _shipped(records: dict[str, dict], kind: str, name: str) -> dict:
     if name not in records:
-        raise ValueError(f"unknown fixture {name!r}; shipped: {', '.join(sorted(records))}")
+        raise ValueError(f"unknown {kind} {name!r}; shipped: {', '.join(sorted(records))}")
     return records[name]
 
 
+def load_fixture(name: str) -> dict:
+    return _shipped(fixture_records(), "fixture", name)
+
+
 def load_system(name: str) -> ccomplex.GeneralizedSeifertSystem:
-    records = system_records()
-    if name not in records:
-        raise ValueError(f"unknown system {name!r}; shipped: {', '.join(sorted(records))}")
-    return ccomplex.system_from_dict(records[name])
+    return ccomplex.system_from_dict(_shipped(system_records(), "system", name))
 
 
 def resolve_system(token: str) -> ccomplex.GeneralizedSeifertSystem:
     """Interpret a CLI token as a system: file path, shipped name, or C(...).
 
     Conway-form names outside the shipped set are built on the fly through
-    the two-bridge construction.
+    the two-bridge construction.  Raises :class:`InvalidSystem` when the
+    system fails :func:`ccomplex.validate`.
     """
     if os.path.exists(token):
-        return ccomplex.load_system(token)
-    records = system_records()
-    if token in records:
-        return ccomplex.system_from_dict(records[token])
-    match = _CONWAY_NAME.match(token.strip())
-    if match:
-        return twobridge.build_gss(twobridge.ConwayForm.parse(match.group(1)))
-    raise ValueError(
-        f"{token!r} is neither a file, a shipped system name, nor a Conway form C(...)"
-    )
+        system = ccomplex.load_system(token)
+    elif token in (records := system_records()):
+        system = ccomplex.system_from_dict(records[token])
+    elif match := _CONWAY_NAME.match(token.strip()):
+        system = twobridge.build_gss(twobridge.ConwayForm.parse(match.group(1)))
+    else:
+        raise ValueError(
+            f"{token!r} is neither a file, a shipped system name, nor a Conway form C(...)"
+        )
+    problems = ccomplex.validate(system)
+    if problems:
+        raise InvalidSystem(problems)
+    return system
 
 
 def resolve_fixture(token: str) -> dict:
     if os.path.exists(token):
-        return bounds.load_fixture_file(token)
+        return ccomplex.read_record(token)
     return load_fixture(token)
 
 

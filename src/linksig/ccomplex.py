@@ -293,7 +293,10 @@ def assemble_stack(gss: GeneralizedSeifertSystem, values: np.ndarray) -> np.ndar
     coefficients = factors[0]
     for factor in factors[1:]:
         coefficients = coefficients * factor
-    stack = np.array([gss.matrix(p) for p in patterns], dtype=complex)
+    try:
+        stack = np.array([gss.matrix(p) for p in patterns], dtype=complex)
+    except OverflowError as exc:
+        raise ValueError(f"matrix entries beyond floating-point range: {exc}") from None
     flat = stack.reshape(len(patterns), gss.rank * gss.rank)
     return (coefficients.T @ flat).reshape(w.shape[-1], gss.rank, gss.rank)
 
@@ -377,13 +380,20 @@ def system_from_dict(doc: Mapping) -> GeneralizedSeifertSystem:
     )
 
 
-def load_system(path) -> GeneralizedSeifertSystem:
+def read_record(path) -> dict:
+    """The JSON object in a file; ``ValueError`` for invalid JSON or a non-object."""
     with open(path, encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+            record = json.load(handle)
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    return system_from_dict(doc)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: record must be a JSON object")
+    return record
+
+
+def load_system(path) -> GeneralizedSeifertSystem:
+    return system_from_dict(read_record(path))
 
 
 def save_system(gss: GeneralizedSeifertSystem, path) -> None:

@@ -23,9 +23,8 @@ from .bounds import (
     splitting_bound_multivariable,
     unlinking_bound,
 )
-from .catalog import CatalogError
-from .ccomplex import TorusPoint, validate
-from .hermitian import DEFAULT_TOL
+from .catalog import CatalogError, InvalidSystem
+from .ccomplex import TorusPoint
 from .invariants import signature_nullity, torus_scan, write_scan_csv
 from .twobridge import ConwayForm, build_gss, predicted_splitting
 
@@ -34,44 +33,19 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 
-def _parse_omega(text: str, mu: int) -> TorusPoint:
-    point = TorusPoint.from_strings(text.split(","))
-    if point.mu != mu:
-        raise ValueError(f"omega has {point.mu} coordinates, the system has {mu} colors")
-    return point
-
-
-def _load_validated_system(token: str):
-    system = catalog.resolve_system(token)
-    violations = validate(system)
-    return system, violations
-
-
-def _report_violations(violations) -> int:
-    for violation in violations:
-        print(f"invariant violation: {violation}", file=sys.stderr)
-    return EXIT_INVARIANT
-
-
 def cmd_sig(args) -> int:
-    system, violations = _load_validated_system(args.system)
-    if violations:
-        return _report_violations(violations)
-    omega = _parse_omega(args.omega, system.mu)
-    sigma, eta = signature_nullity(system, omega, args.tol)
+    system = catalog.resolve_system(args.system)
+    omega = TorusPoint.from_strings(args.omega.split(","))
+    sigma, eta = signature_nullity(system, omega)
     print(f"sigma={sigma} eta={eta}")
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    system, violations = _load_validated_system(args.system)
-    if violations:
-        return _report_violations(violations)
+    system = catalog.resolve_system(args.system)
     if system.mu > 3:
         raise ValueError(f"scan supports at most 3 colors, system has {system.mu}")
-    if args.res < 1:
-        raise ValueError("resolution must be at least 1")
-    grid = torus_scan(system, args.res, args.tol)
+    grid = torus_scan(system, args.res)
     write_scan_csv(grid, args.out)
     print(f"rows={grid.sigma.size} min_eta={grid.min_eta} near_zero_det={grid.near_zero_count}")
     return EXIT_OK
@@ -152,14 +126,14 @@ def cmd_bound(args) -> int:
 def cmd_twobridge(args) -> int:
     form = ConwayForm.parse(args.form)
     system = build_gss(form)
-    sigma, eta = signature_nullity(system, TorusPoint.minus_ones(2), args.tol)
+    sigma, eta = signature_nullity(system, TorusPoint.minus_ones(2))
     s = predicted_splitting(form)
     bound = splitting_bound_multivariable(2, sigma, eta, ComponentInvariants.unknots(2)).value
     agree = "yes" if bound == s else "no"
     print(f"s={s} sigma={sigma} eta={eta} bound={bound} sp={s} agree={agree}")
     if args.omega:
-        omega = _parse_omega(args.omega, 2)
-        sig_o, eta_o = signature_nullity(system, omega, args.tol)
+        omega = TorusPoint.from_strings(args.omega.split(","))
+        sig_o, eta_o = signature_nullity(system, omega)
         print(f"omega={omega} sigma={sig_o} eta={eta_o}")
     return EXIT_OK
 
@@ -175,14 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sig = sub.add_parser("sig", help="signature and nullity at a torus point")
     p_sig.add_argument("system", help="system file, shipped name, or Conway form C(...)")
     p_sig.add_argument("--omega", required=True, help="comma-separated angle fractions, e.g. 1/2,1/2")
-    p_sig.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_sig.set_defaults(func=cmd_sig)
 
     p_scan = sub.add_parser("scan", help="grid scan of sigma, eta and |det H| to CSV")
     p_scan.add_argument("system")
     p_scan.add_argument("--res", type=int, required=True, help="samples per axis")
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_scan.set_defaults(func=cmd_scan)
 
     p_bound = sub.add_parser("bound", help="evaluate a lower bound")
@@ -204,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tb = sub.add_parser("twobridge", help="two-bridge construction C(2a_1,b_1,...,2a_n)")
     p_tb.add_argument("form", help="comma-separated positive coefficients, e.g. 4,3,2")
     p_tb.add_argument("--omega", help="optional extra evaluation point")
-    p_tb.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_tb.set_defaults(func=cmd_twobridge)
 
     return parser
@@ -215,15 +186,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         catalog.self_check()
+        return args.func(args)
     except CatalogError as exc:
         print(f"catalog self-check failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except InvalidSystem as exc:
+        for problem in exc.problems:
+            print(f"invariant violation: {problem}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

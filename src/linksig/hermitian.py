@@ -16,7 +16,7 @@ interlacing forces ``|delta_sigma| + |delta_eta| = 1`` for every border.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +53,12 @@ def inertia_stack(stack, tol: float = DEFAULT_TOL):
     rules are those of :func:`hermitian_signature`, applied per matrix; all
     eigenvalues come from one ``eigvalsh`` call on the stack.
 
-    Raises ``ValueError`` for negative ``tol``, a non-finite entry, or a
-    matrix that violates Hermitian symmetry beyond its scaled tolerance.
+    Raises ``ValueError`` unless ``0 <= tol < inf``, and for a non-finite
+    entry or a matrix that violates Hermitian symmetry beyond its scaled
+    tolerance.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not 0 <= tol < inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
@@ -79,8 +80,9 @@ def hermitian_signature(matrix, tol: float = DEFAULT_TOL) -> SignatureResult:
     Eigenvalues lambda with ``|lambda| <= tol * max(1, max |entry|)`` are
     counted as zero.  The empty (0 x 0) matrix yields ``(0, 0, 0, 0)``.
 
-    Raises ``ValueError`` for non-square input, negative ``tol``, non-finite
-    entries, or a matrix that is not Hermitian within the scaled tolerance.
+    Raises ``ValueError`` for non-square input, a ``tol`` that is negative or
+    not finite, non-finite entries, or a matrix that is not Hermitian within
+    the scaled tolerance.
     """
     a = _as_square_complex(matrix)
     positives, negatives, _ = inertia_stack(a[None], tol)

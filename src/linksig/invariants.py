@@ -42,12 +42,7 @@ from .ccomplex import (
     h_at_minus_ones,
     torus_coordinate,
 )
-from .hermitian import (
-    DEFAULT_TOL,
-    hermitian_signature,
-    inertia_stack,
-    integer_symmetric_signature,
-)
+from .hermitian import hermitian_signature, inertia_stack, integer_symmetric_signature
 
 #: Bytes of complex H matrices assembled and classified at a time, which
 #: bounds a scan's working memory at any resolution.
@@ -127,7 +122,7 @@ class ScanGrid:
                 yield [base + t * strides[axis] for t in range(r)]
 
 
-def _inertia(gss: GeneralizedSeifertSystem, values: np.ndarray, tol: float):
+def _inertia(gss: GeneralizedSeifertSystem, values: np.ndarray):
     """Positive and negative counts and |det H| at each row of ``values``.
 
     Assembles and classifies CHUNK_BYTES of H matrices at a time.
@@ -139,29 +134,28 @@ def _inertia(gss: GeneralizedSeifertSystem, values: np.ndarray, tol: float):
     for start in range(0, len(values), step):
         chunk = slice(start, start + step)
         positives[chunk], negatives[chunk], abs_det[chunk] = inertia_stack(
-            assemble_stack(gss, values[chunk]), tol
+            assemble_stack(gss, values[chunk])
         )
     return positives, negatives, abs_det
 
 
-def signature_nullity(
-    gss: GeneralizedSeifertSystem, omega: TorusPoint, tol: float = DEFAULT_TOL
-) -> tuple[int, int]:
+def signature_nullity(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> tuple[int, int]:
     """(sigma, eta) at one torus point.
 
     Uses the exact integer path when every coordinate fraction is 1/2,
-    floating-point classification elsewhere.
+    floating-point classification with the ``DEFAULT_TOL`` zero test
+    elsewhere.
     """
     if omega.mu == gss.mu and omega.is_minus_ones():
         result = integer_symmetric_signature(h_at_minus_ones(gss))
     else:
         # assemble_h rejects a point with the wrong number of coordinates.
-        result = hermitian_signature(assemble_h(gss, omega), tol)
+        result = hermitian_signature(assemble_h(gss, omega))
     return result.signature, result.nullity
 
 
 def lt_signature_from_multivariable(
-    gss: GeneralizedSeifertSystem, omega_scalar, tol: float = DEFAULT_TOL
+    gss: GeneralizedSeifertSystem, omega_scalar
 ) -> tuple[int, int]:
     """Levine-Tristram invariants of the underlying ordered link.
 
@@ -171,15 +165,13 @@ def lt_signature_from_multivariable(
     """
     q = Fraction(omega_scalar)
     point = TorusPoint.diagonal(q, gss.mu)
-    sigma, eta = signature_nullity(gss, point, tol)
+    sigma, eta = signature_nullity(gss, point)
     if gss.mu == 1:
         return sigma, eta
     return sigma - gss.total_linking(), eta
 
 
-def torus_scan(
-    gss: GeneralizedSeifertSystem, resolution: int, tol: float = DEFAULT_TOL
-) -> ScanGrid:
+def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     """Sample sigma, eta and |det H| on the full R^mu grid, row-major.
 
     Only the first ceil(N/2) of the N = R^mu samples are classified; sample
@@ -197,7 +189,7 @@ def torus_scan(
     grids = np.meshgrid(*[axis] * gss.mu, indexing="ij")
     values = np.stack(grids, axis=-1).reshape(-1, gss.mu)
     mirrored = len(values) // 2
-    computed = _inertia(gss, values[: len(values) - mirrored], tol)
+    computed = _inertia(gss, values[: len(values) - mirrored])
     positives, negatives, abs_det = (
         np.concatenate((half, half[:mirrored][::-1])) for half in computed
     )
@@ -216,9 +208,7 @@ def torus_scan(
     )
 
 
-def estimate_beta(
-    gss: GeneralizedSeifertSystem, samples: Sequence[TorusPoint], tol: float = DEFAULT_TOL
-) -> int:
+def estimate_beta(gss: GeneralizedSeifertSystem, samples: Sequence[TorusPoint]) -> int:
     """Minimum sampled nullity: an upper bound for the minimal nullity.
 
     The true minimum over the whole torus (the rank of the Alexander
@@ -228,7 +218,7 @@ def estimate_beta(
     points = list(samples)
     if not points:
         raise ValueError("at least one sample point is required")
-    return min(signature_nullity(gss, omega, tol)[1] for omega in points)
+    return min(signature_nullity(gss, omega)[1] for omega in points)
 
 
 def undetected_sigma_jumps(grid: ScanGrid) -> list[tuple[int, int]]:

@@ -110,9 +110,34 @@ class TestSig:
 
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{", encoding="utf-8")
-        code, _, err = run(capsys, "sig", str(path), "--omega", "1/2,1/2")
+        cases = [(b"{", "invalid JSON"), (b"\xff{}", "invalid JSON"),
+                 (b"[1, 2]", "record must be a JSON object")]
+        for data, error in cases:
+            path.write_bytes(data)
+            code, out, err = run(capsys, "sig", str(path), "--omega", "1/2,1/2")
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {path}: {error}")
+
+    @pytest.mark.parametrize("command", ["sig", "twobridge"])
+    def test_omega_count_mismatch_exits_2(self, capsys, command):
+        system = "C(4,3,2)" if command == "sig" else "4,3,2"
+        code, _, err = run(capsys, command, system, "--omega", "1/2,1/2,1/2")
         assert code == 2
+        assert err == "error: torus point has 3 coordinates, system has 2 colors\n"
+
+    def test_entries_beyond_float_range(self, capsys, tmp_path):
+        # Exact at the all-1/2 point; a clean input error wherever floats are needed.
+        path = tmp_path / "huge.json"
+        doc = {"mu": 1, "rank": 1, "matrices": {"+": [[10**400]]}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "sig", str(path), "--omega", "1/2")
+        assert (code, out) == (0, "sigma=1 eta=0\n")
+        for argv in [["sig", str(path), "--omega", "1/3"],
+                     ["scan", str(path), "--res", "3", "--out", str(tmp_path / "s.csv")]]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: matrix entries beyond floating-point range")
 
 
 class TestScan:
@@ -260,8 +285,11 @@ class TestBound:
                         "samples": [{"sigma_L": 0, "eta_L": 0,
                                      "components": [{"sigma": 0, "eta": 0}] * 3}]},
              "component data for 3 colors, expected 2"),
+            (["rank"], {"kind": "rank", "mu": 2, "beta_est": 0, "samples": [5]},
+             "malformed record: 5 is not an object"),
         ],
-        ids=["inline", "fixture", "rank-sample", "rank-sample-components"],
+        ids=["inline", "fixture", "rank-sample", "rank-sample-components",
+             "rank-sample-not-object"],
     )
     def test_omega_count_mismatch_exits_2(self, capsys, tmp_path, argv, record, error):
         if record is not None:
@@ -365,6 +393,22 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "nonsense"])
         assert exc.value.code == 2
+
+    # The zero test is fixed at DEFAULT_TOL; there is no option to change it.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sig", "C(4,3,2)", "--omega", "1/3,1/3"],
+            ["scan", "C(4,3,2)", "--res", "3", "--out", "/dev/null"],
+            ["twobridge", "4,3,2"],
+        ],
+        ids=["sig", "scan", "twobridge"],
+    )
+    def test_tol_option_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
 def readme_commands() -> list[tuple[list[str], str]]:

@@ -165,9 +165,11 @@ class TestHermitianSignature:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_signature([[0, 1], [2, 0]])
 
-    def test_rejects_negative_tol(self):
+    # NaN and inf would make every eigenvalue count as zero.
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_negative_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            hermitian_signature(np.eye(2), tol=-1e-3)
+            hermitian_signature(np.eye(2), tol=tol)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0, math.nan)])
     def test_rejects_non_finite(self, entry):
