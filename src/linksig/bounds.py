@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import isqrt
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -184,7 +184,9 @@ def _linking_pairs(linking, mu: int | None = None) -> list[tuple[int, int, int]]
 
 
 def linking_number_bound(
-    linking, nonsplit: Mapping[tuple[int, int], bool] | None = None, mu: int | None = None
+    linking,
+    nonsplit: Mapping[tuple[int, int], bool] | Iterable | None = None,
+    mu: int | None = None,
 ) -> BoundReport:
     """Sum of pairwise linking contributions.
 
@@ -192,21 +194,37 @@ def linking_number_bound(
     linking number, |lk| otherwise.  Pairs with lk = 0 must come with an
     explicit non-split flag; linked pairs are non-split automatically.
     ``linking`` takes either form that :func:`_linking_pairs` reads.
+    ``nonsplit`` maps a pair (i, j) of 0-based indices, in either order, to
+    True (non-split) or False (split); a sequence of ``((i, j), flag)`` items
+    is read the same way.  A pair with an index outside ``0..mu-1``, a pair
+    with i == j and a pair flagged both ways raise ``ValueError``, whose
+    message numbers the components ``1..mu``.
     """
-    flags = dict(nonsplit or {})
+    pairs = _linking_pairs(linking, mu)
+    if mu is None:  # the size _linking_pairs read off the data
+        mu = (1 + isqrt(1 + 8 * len(pairs))) // 2
+    flags: dict[tuple[int, int], bool] = {}
+    items = nonsplit.items() if isinstance(nonsplit, Mapping) else nonsplit or ()
+    for (i, j), flag in items:
+        named = f"pair flag ({i + 1}, {j + 1})"
+        if not (0 <= i < mu and 0 <= j < mu):
+            raise ValueError(f"{named} names a component outside 1..{mu}")
+        if i == j:
+            raise ValueError(f"{named} names component {i + 1} twice")
+        if flags.setdefault((min(i, j), max(i, j)), flag) != flag:
+            raise ValueError(f"{named} is flagged both split and non-split")
     value = 0
     total = 0
-    for i, j, lk in _linking_pairs(linking, mu):
+    for i, j, lk in pairs:
         total += lk
         if lk != 0:
             value += abs(lk)
             continue
-        key = (i, j) if (i, j) in flags else (j, i)
-        if key not in flags:
+        if (i, j) not in flags:
             raise ValueError(
                 f"pair ({i}, {j}) has linking number 0: a split/non-split flag is required"
             )
-        if flags[key]:
+        if flags[(i, j)]:
             value += 2
     return BoundReport(
         bound_name="linking",

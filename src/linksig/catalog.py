@@ -9,6 +9,7 @@ re-evaluates all of them; a mismatch means the shipped data is corrupt.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -35,13 +36,22 @@ def _data_dir(kind: str):
     return resources.files("linksig").joinpath("data").joinpath(kind)
 
 
+@functools.cache
+def _resource_texts(kind: str) -> tuple[tuple[str, str], ...]:
+    """(filename, text) of each shipped JSON file of ``kind``, read once per process."""
+    return tuple(
+        (entry.name, entry.read_text(encoding="utf-8"))
+        for entry in sorted(_data_dir(kind).iterdir(), key=lambda e: e.name)
+        if entry.name.endswith(".json")
+    )
+
+
 def _load_json_resources(kind: str) -> dict[str, dict]:
+    """Fresh records on every call, so a caller that edits one changes no other."""
     out = {}
-    for entry in sorted(_data_dir(kind).iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".json"):
-            continue
-        record = json.loads(entry.read_text(encoding="utf-8"))
-        out[record.get("name", entry.name)] = record
+    for filename, text in _resource_texts(kind):
+        record = json.loads(text)
+        out[record.get("name", filename)] = record
     return out
 
 

@@ -13,6 +13,7 @@ byte-identical text.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import catalog
@@ -80,14 +81,13 @@ def _inline_record(args, kind: str) -> dict:
     return record
 
 
-def _pair_flags(items, flag: bool) -> dict:
-    flags = {}
+def _pair_flags(items, flag: bool) -> list[tuple[tuple[int, int], bool]]:
+    flags = []
     for item in items or []:
         fields = item.split(",")
         if len(fields) != 2:
             raise ValueError(f"pair flags expect 'i,j', got {item!r}")
-        i, j = int(fields[0]) - 1, int(fields[1]) - 1
-        flags[(i, j)] = flag
+        flags.append(((int(fields[0]) - 1, int(fields[1]) - 1), flag))
     return flags
 
 
@@ -99,8 +99,7 @@ def cmd_bound(args) -> int:
         _require(args, ["lk"] if args.formula == "linking" else ["mu", "sigma_l", "eta_l", "lk"])
         lk = [int(v) for v in args.lk.split(",")]
         if args.formula == "linking":
-            flags = _pair_flags(args.nonsplit, True)
-            flags.update(_pair_flags(args.split, False))
+            flags = _pair_flags(args.nonsplit, True) + _pair_flags(args.split, False)
             report = linking_number_bound(lk, flags, args.mu)
         else:
             report = unlinking_bound(args.mu, args.sigma_l, args.eta_l, lk)
@@ -130,15 +129,18 @@ def cmd_twobridge(args) -> int:
     s = predicted_splitting(form)
     bound = splitting_bound_multivariable(2, sigma, eta, ComponentInvariants.unknots(2)).value
     agree = "yes" if bound == s else "no"
-    print(f"s={s} sigma={sigma} eta={eta} bound={bound} sp={s} agree={agree}")
-    if args.omega:
+    lines = [f"s={s} sigma={sigma} eta={eta} bound={bound} sp={s} agree={agree}"]
+    if args.omega:  # evaluated before anything is printed, so a bad point prints nothing
         omega = TorusPoint.from_strings(args.omega.split(","))
         sig_o, eta_o = signature_nullity(system, omega)
-        print(f"omega={omega} sigma={sig_o} eta={eta_o}")
+        lines.append(f"omega={omega} sigma={sig_o} eta={eta_o}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="linksig",
         description="Multivariable link signatures and splitting-number bounds "

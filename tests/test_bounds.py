@@ -162,6 +162,26 @@ class TestLinkingNumberBound:
             linking_number_bound(linking, {}, mu)
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({(0, 2): True}, r"pair flag \(1, 3\) names a component outside 1..2"),
+            ({(-1, 1): False}, r"pair flag \(0, 2\) names a component outside 1..2"),
+            ({(1, 1): True}, r"pair flag \(2, 2\) names component 2 twice"),
+            ({(0, 1): True, (1, 0): False}, "flagged both split and non-split"),
+            ([((0, 1), True), ((0, 1), False)], "flagged both split and non-split"),
+        ],
+        ids=["beyond-mu", "negative", "same-component", "conflict", "conflict-items"],
+    )
+    def test_bad_pair_flag(self, flags, message):
+        with pytest.raises(ValueError, match=message):
+            linking_number_bound([[0, 0], [0, 0]], flags)
+
+    def test_pair_flag_items_in_either_order(self):
+        items = [((1, 0), True), ((0, 1), True)]
+        assert linking_number_bound([0], items).value == 2
+
+
 class TestRankObstruction:
     def test_base_bound(self):
         assert rank_obstruction(2, 0, []).value == 1

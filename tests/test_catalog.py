@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,27 @@ class TestShippedFixtures:
         monkeypatch.setattr(catalog, "fixture_records", lambda: {"L9a29": record})
         with pytest.raises(catalog.CatalogError, match="expected_bound"):
             catalog.self_check()
+
+    def test_returned_records_share_no_state(self, capsys):
+        from linksig.cli import main
+
+        on_disk = json.loads(
+            (resources.files("linksig") / "data" / "fixtures" / "L9a29.json").read_text("utf-8")
+        )
+        argv = ["sig", "C(4,3,2)", "--omega", "1/3,1/3"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+
+        del catalog.fixture_records()["L9a29"]["expected_bound"]
+        for record in catalog.fixture_records().values():
+            record["sigma_L"] = 99
+        catalog.load_fixture("L9a29")["components"].clear()
+        catalog.system_records()["C(4,3,2)"]["matrices"]["++"][0][0] = 7
+
+        catalog.self_check()
+        assert catalog.load_fixture("L9a29") == on_disk
+        assert main(argv) == 0
+        assert capsys.readouterr().out == before
 
     def test_unknown_fixture(self):
         with pytest.raises(ValueError, match="unknown fixture"):

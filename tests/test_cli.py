@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from linksig.cli import main
+from linksig.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -122,8 +122,9 @@ class TestSig:
     @pytest.mark.parametrize("command", ["sig", "twobridge"])
     def test_omega_count_mismatch_exits_2(self, capsys, command):
         system = "C(4,3,2)" if command == "sig" else "4,3,2"
-        code, _, err = run(capsys, command, system, "--omega", "1/2,1/2,1/2")
+        code, out, err = run(capsys, command, system, "--omega", "1/2,1/2,1/2")
         assert code == 2
+        assert out == ""  # twobridge prints its first line only once --omega is evaluated
         assert err == "error: torus point has 3 coordinates, system has 2 colors\n"
 
     def test_entries_beyond_float_range(self, capsys, tmp_path):
@@ -330,6 +331,28 @@ class TestBound:
         assert code == 0
         assert "value=2" in out
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--nonsplit", "1,2", "--split", "2,1"],
+             "pair flag (2, 1) is flagged both split and non-split"),
+            (["--nonsplit", "2,1", "--split", "1,2"],
+             "pair flag (1, 2) is flagged both split and non-split"),
+            (["--nonsplit", "1,2", "--split", "1,2"],
+             "pair flag (1, 2) is flagged both split and non-split"),
+            (["--split", "0,2"], "pair flag (0, 2) names a component outside 1..2"),
+            (["--split", "7,9"], "pair flag (7, 9) names a component outside 1..2"),
+            (["--nonsplit", "2,2"], "pair flag (2, 2) names component 2 twice"),
+        ],
+        ids=["conflict", "conflict-reversed", "conflict-same-order", "component-0",
+             "beyond-mu", "same-component"],
+    )
+    def test_linking_bad_pair_flag_exits_2(self, capsys, flags, error):
+        code, out, err = run(capsys, "bound", "linking", "--lk", "0", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {error}\n"
+
     def test_rank_fixture(self, capsys):
         code, out, _ = run(capsys, "bound", "rank", "L9a24")
         assert code == 0
@@ -409,6 +432,51 @@ class TestParser:
             main(argv + ["--tol", "1e-3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
+
+def run_sequence(capsys, commands) -> list[tuple]:
+    """(exit code, stdout, stderr) of each command, run one after the other in this process."""
+    results = []
+    for argv in commands:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, *capsys.readouterr()))
+    return results
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser per process; no command leaves state for the next."""
+
+    @pytest.mark.parametrize(
+        "commands, expected",
+        [
+            ([["bound", "linking", "--lk", "0", "--nonsplit", "1,2"],
+              ["bound", "linking", "--lk", "0"]],
+             [(0, "value=2"), (2, "a split/non-split flag is required")]),
+            ([["sig", "C(4,3,2)", "--omega"],
+              ["sig", "C(4,3,2)", "--omega", "1/3,1/3"]],
+             [(2, "expected one argument"), (0, "sigma=-2 eta=0")]),
+            ([["bound", "split-lt", "--mu", "2", "--sigma-l", "5", "--eta-l", "0",
+               "--total-lk", "-1", "--component", "2,0", "--component", "0,0"],
+              ["bound", "split-lt", "--mu", "2", "--sigma-l", "5", "--eta-l", "0",
+               "--total-lk", "-1"]],
+             [(0, "value=3"), (0, "value=5")]),
+        ],
+        ids=["append-flags", "argparse-error", "components"],
+    )
+    def test_sequence_matches_fresh_runs(self, capsys, commands, expected):
+        fresh = []
+        for argv in commands:
+            build_parser.cache_clear()
+            fresh += run_sequence(capsys, [argv])
+        build_parser.cache_clear()
+        parser = build_parser()
+        assert run_sequence(capsys, commands) == fresh
+        for (code, out, err), (expected_code, text) in zip(fresh, expected):
+            assert code == expected_code and text in out + err
+        assert build_parser() is parser
 
 
 def readme_commands() -> list[tuple[list[str], str]]:
