@@ -197,8 +197,9 @@ def linking_number_bound(
     ``nonsplit`` maps a pair (i, j) of 0-based indices, in either order, to
     True (non-split) or False (split); a sequence of ``((i, j), flag)`` items
     is read the same way.  A pair with an index outside ``0..mu-1``, a pair
-    with i == j and a pair flagged both ways raise ``ValueError``, whose
-    message numbers the components ``1..mu``.
+    with i == j, a pair flagged both ways, a linked pair flagged split and an
+    unflagged pair with lk = 0 raise ``ValueError``, whose message numbers
+    the components ``1..mu``.
     """
     pairs = _linking_pairs(linking, mu)
     if mu is None:  # the size _linking_pairs read off the data
@@ -217,14 +218,20 @@ def linking_number_bound(
     total = 0
     for i, j, lk in pairs:
         total += lk
+        flag = flags.get((i, j))
         if lk != 0:
+            if flag is False:
+                raise ValueError(
+                    f"pair ({i + 1}, {j + 1}) has linking number {lk}: "
+                    "a linked pair cannot be split"
+                )
             value += abs(lk)
-            continue
-        if (i, j) not in flags:
+        elif flag is None:
             raise ValueError(
-                f"pair ({i}, {j}) has linking number 0: a split/non-split flag is required"
+                f"pair ({i + 1}, {j + 1}) has linking number 0: "
+                "a split/non-split flag is required"
             )
-        if flags[(i, j)]:
+        elif flag:
             value += 2
     return BoundReport(
         bound_name="linking",

@@ -5,6 +5,8 @@ matrix data, re-evaluated on demand) and bound fixtures (published
 invariant values of named links together with the bound they certify).
 Every fixture carries its expected bound, and :func:`self_check`
 re-evaluates all of them; a mismatch means the shipped data is corrupt.
+The shipped files are read once per process, so :func:`check_shipped`, the
+gate every CLI command passes, runs that check once per process.
 """
 
 from __future__ import annotations
@@ -135,3 +137,12 @@ def self_check() -> None:
             problems.append(f"system {name}: {violation}")
     if problems:
         raise CatalogError("; ".join(problems))
+
+
+@functools.cache
+def check_shipped() -> None:
+    """:func:`self_check`, once per process: the shipped text it checks is read once.
+
+    A failure is not cached, so every call after one raises ``CatalogError`` again.
+    """
+    self_check()

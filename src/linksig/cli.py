@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        catalog.self_check()
+        catalog.check_shipped()
         return args.func(args)
     except CatalogError as exc:
         print(f"catalog self-check failed: {exc}", file=sys.stderr)

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
+from linksig import catalog
 from linksig.ccomplex import GeneralizedSeifertSystem, canonical_patterns
+
+
+@pytest.fixture(autouse=True)
+def unchecked_catalog():
+    """Each test starts and ends with the once-per-process catalog check not yet run.
+
+    A test that patches the catalog data then sees its own patch checked, not
+    an earlier test's pass.
+    """
+    catalog.check_shipped.cache_clear()
+    yield
+    catalog.check_shipped.cache_clear()
 
 
 @pytest.fixture

@@ -132,8 +132,14 @@ class TestLinkingNumberBound:
         assert linking_number_bound([[0, 0], [0, 0]], {(0, 1): False}).value == 0
 
     def test_missing_flag(self):
-        with pytest.raises(ValueError, match="flag"):
+        with pytest.raises(ValueError, match=r"pair \(1, 2\) has linking number 0: .*flag"):
             linking_number_bound([[0, 0], [0, 0]])
+
+    def test_linked_pair_cannot_be_split(self):
+        with pytest.raises(ValueError, match=r"pair \(1, 3\) has linking number -2: .*split"):
+            linking_number_bound([0, -2, 0], {(1, 0): True, (2, 0): False})
+        flags = {(0, 1): False, (0, 2): True, (1, 2): True}  # linked pairs may be flagged non-split
+        assert linking_number_bound([0, -2, 0], flags).value == 2 + 2
 
     def test_three_colors_mixed(self):
         lk = [[0, 2, 0], [2, 0, -3], [0, -3, 0]]

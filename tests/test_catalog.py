@@ -68,6 +68,39 @@ class TestShippedFixtures:
             catalog.load_fixture("L0a0")
 
 
+class TestCheckShipped:
+    """``cli.main`` checks the shipped catalog once per process, and never caches a failure."""
+
+    ARGV = ["sig", "C(4,3,2)", "--omega", "1/3,1/3"]
+
+    def test_fixtures_are_evaluated_once_per_process(self, monkeypatch, capsys):
+        from linksig import bounds
+        from linksig.cli import main
+
+        calls = []
+        evaluate = bounds.evaluate_fixture
+        monkeypatch.setattr(bounds, "evaluate_fixture", lambda r: calls.append(1) or evaluate(r))
+        assert main(self.ARGV) == 0
+        assert len(calls) == len(EXPECTED_BOUNDS)
+        assert main(self.ARGV) == 0
+        assert len(calls) == len(EXPECTED_BOUNDS)
+        assert capsys.readouterr().out == "sigma=-2 eta=0\n" * 2
+
+    def test_failure_is_reported_on_every_command(self, monkeypatch, capsys):
+        from linksig.cli import main
+
+        record = dict(catalog.load_fixture("L9a29"), expected_bound=4)  # evaluates to 3
+        monkeypatch.setattr(catalog, "fixture_records", lambda: {"L9a29": record})
+        for _ in range(2):
+            assert main(self.ARGV) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                "catalog self-check failed: fixture L9a29: evaluates to 3, expected 4\n"
+            )
+        assert catalog.check_shipped.cache_info().currsize == 0
+
+
 class TestShippedSystems:
     def test_example_system_valid(self):
         system = catalog.load_system("C(4,3,2)")

@@ -322,9 +322,21 @@ class TestBound:
         assert "value=1" in out and "lk_parity=odd" in out
 
     def test_linking_needs_flag_for_zero_pair(self, capsys):
-        code, _, err = run(capsys, "bound", "linking", "--lk", "0")
-        assert code == 2
-        assert "flag" in err
+        # the message numbers components from 1, like the pair flags
+        for flags, pair in [(["--lk", "0"], "(1, 2)"),
+                            (["--lk", "1,0,0", "--nonsplit", "1,2"], "(1, 3)")]:
+            code, out, err = run(capsys, "bound", "linking", *flags)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: pair {pair} has linking number 0: a split/non-split flag is required\n"
+            )
+
+    def test_linking_linked_pair_flagged_split_exits_2(self, capsys):
+        code, out, err = run(capsys, "bound", "linking", "--lk", "1", "--split", "1,2")
+        assert (code, out) == (2, "")
+        assert err == "error: pair (1, 2) has linking number 1: a linked pair cannot be split\n"
+        code, out, _ = run(capsys, "bound", "linking", "--lk", "1", "--nonsplit", "1,2")
+        assert (code, out) == (0, "formula=linking value=1 total_lk=1 lk_parity=odd\n")
 
     def test_linking_nonsplit_zero_pair(self, capsys):
         code, out, _ = run(capsys, "bound", "linking", "--lk", "0", "--nonsplit", "1,2")
