@@ -177,9 +177,10 @@ def _linking_pairs(linking, mu: int | None = None) -> list[tuple[int, int, int]]
         mu = (1 + isqrt(1 + 8 * len(values))) // 2
         if mu * (mu - 1) // 2 != len(values):
             raise ValueError(f"{len(values)} linking values do not fill an upper triangle")
+    count = max(mu, 0) * (max(mu, 0) - 1) // 2  # checked before the pairs are listed
+    if len(values) != count:
+        raise ValueError(f"linking data needs {count} values for mu={mu}, got {len(values)}")
     pairs = [(i, j) for i in range(mu) for j in range(i + 1, mu)]
-    if len(values) != len(pairs):
-        raise ValueError(f"linking data needs {len(pairs)} values for mu={mu}, got {len(values)}")
     return [(i, j, lk) for (i, j), lk in zip(pairs, values)]
 
 

@@ -5,8 +5,9 @@ matrix data, re-evaluated on demand) and bound fixtures (published
 invariant values of named links together with the bound they certify).
 Every fixture carries its expected bound, and :func:`self_check`
 re-evaluates all of them; a mismatch means the shipped data is corrupt.
-The shipped files are read once per process, so :func:`check_shipped`, the
-gate every CLI command passes, runs that check once per process.
+The shipped files are read once per process, and a lookup by name parses
+only the record it returns.  :func:`check_shipped`, the gate every CLI
+command passes, runs that check once per process.
 """
 
 from __future__ import annotations
@@ -34,58 +35,49 @@ class InvalidSystem(Exception):
         self.problems = problems
 
 
-def _data_dir(kind: str):
-    return resources.files("linksig").joinpath("data").joinpath(kind)
-
-
 @functools.cache
-def _resource_texts(kind: str) -> tuple[tuple[str, str], ...]:
-    """(filename, text) of each shipped JSON file of ``kind``, read once per process."""
-    return tuple(
-        (entry.name, entry.read_text(encoding="utf-8"))
-        for entry in sorted(_data_dir(kind).iterdir(), key=lambda e: e.name)
-        if entry.name.endswith(".json")
-    )
-
-
-def _load_json_resources(kind: str) -> dict[str, dict]:
-    """Fresh records on every call, so a caller that edits one changes no other."""
-    out = {}
-    for filename, text in _resource_texts(kind):
-        record = json.loads(text)
-        out[record.get("name", filename)] = record
-    return out
+def _texts(kind: str) -> dict[str, str]:
+    """Record name to JSON text of each shipped file of ``kind``, read once per process."""
+    texts = {}
+    shipped = resources.files("linksig") / "data" / kind
+    for entry in sorted(shipped.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".json"):
+            text = entry.read_text(encoding="utf-8")
+            texts[json.loads(text).get("name", entry.name)] = text
+    return texts
 
 
 def fixture_records() -> dict[str, dict]:
-    """All shipped bound fixtures, keyed by link name."""
-    return _load_json_resources("fixtures")
+    """All shipped bound fixtures, keyed by link name, parsed afresh on every call."""
+    return {name: json.loads(text) for name, text in _texts("fixtures").items()}
 
 
 def system_records() -> dict[str, dict]:
-    return _load_json_resources("systems")
+    return {name: json.loads(text) for name, text in _texts("systems").items()}
 
 
 def fixture_names() -> list[str]:
-    return sorted(fixture_records())
+    return sorted(_texts("fixtures"))
 
 
 def system_names() -> list[str]:
-    return sorted(system_records())
+    return sorted(_texts("systems"))
 
 
-def _shipped(records: dict[str, dict], kind: str, name: str) -> dict:
-    if name not in records:
-        raise ValueError(f"unknown {kind} {name!r}; shipped: {', '.join(sorted(records))}")
-    return records[name]
+def _shipped(kind: str, name: str) -> dict:
+    """A fresh parse of the one shipped record ``name`` of ``kind``."""
+    texts = _texts(kind + "s")
+    if name not in texts:
+        raise ValueError(f"unknown {kind} {name!r}; shipped: {', '.join(sorted(texts))}")
+    return json.loads(texts[name])
 
 
 def load_fixture(name: str) -> dict:
-    return _shipped(fixture_records(), "fixture", name)
+    return _shipped("fixture", name)
 
 
 def load_system(name: str) -> ccomplex.GeneralizedSeifertSystem:
-    return ccomplex.system_from_dict(_shipped(system_records(), "system", name))
+    return ccomplex.system_from_dict(_shipped("system", name))
 
 
 def resolve_system(token: str) -> ccomplex.GeneralizedSeifertSystem:
@@ -97,8 +89,8 @@ def resolve_system(token: str) -> ccomplex.GeneralizedSeifertSystem:
     """
     if os.path.exists(token):
         system = ccomplex.load_system(token)
-    elif token in (records := system_records()):
-        system = ccomplex.system_from_dict(records[token])
+    elif token in _texts("systems"):
+        system = load_system(token)
     elif match := _CONWAY_NAME.match(token.strip()):
         system = twobridge.build_gss(twobridge.ConwayForm.parse(match.group(1)))
     else:

@@ -91,10 +91,29 @@ def _pair_flags(items, flag: bool) -> list[tuple[tuple[int, int], bool]]:
     return flags
 
 
+#: The value flags of ``bound`` in usage-line order, and the ones each formula
+#: reads inline.  A formula given a fixture reads none.
+_BOUND_FLAGS = ("mu", "sigma_l", "eta_l", "total_lk", "lk", "component", "nonsplit", "split",
+                "omega")
+_SPLIT_READS = {"mu", "sigma_l", "eta_l", "total_lk", "component", "omega"}
+_INLINE_READS = {
+    "split-lt": _SPLIT_READS,
+    "split-multi": _SPLIT_READS,
+    "linking": {"mu", "lk", "nonsplit", "split"},
+    "unlink": {"mu", "sigma_l", "eta_l", "lk"},
+}
+
+
 def cmd_bound(args) -> int:
     kind = {"split-lt": "lt", "split-multi": "multi", "rank": "rank"}.get(args.formula)
     if args.fixture is not None and kind is None:
         raise ValueError(f"formula {args.formula!r} takes inline flags, not a fixture file")
+    reads = () if args.fixture is not None else _INLINE_READS.get(args.formula, ())
+    unread = [f"--{n.replace('_', '-')}" for n in _BOUND_FLAGS
+              if n not in reads and getattr(args, n) is not None]
+    if unread:
+        source = "with a fixture " if args.fixture is not None else ""
+        raise ValueError(f"formula {args.formula!r} {source}does not read {', '.join(unread)}")
     if kind is None:
         _require(args, ["lk"] if args.formula == "linking" else ["mu", "sigma_l", "eta_l", "lk"])
         lk = [int(v) for v in args.lk.split(",")]

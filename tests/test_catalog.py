@@ -63,6 +63,15 @@ class TestShippedFixtures:
         assert main(argv) == 0
         assert capsys.readouterr().out == before
 
+    def test_lookup_parses_only_the_record_it_returns(self, monkeypatch):
+        catalog.fixture_names()  # builds the name-to-text map
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+        record = catalog.load_fixture("L9a24")
+        assert record["name"] == "L9a24"
+        assert len(parsed) == 1
+
     def test_unknown_fixture(self):
         with pytest.raises(ValueError, match="unknown fixture"):
             catalog.load_fixture("L0a0")

@@ -303,18 +303,46 @@ class TestBound:
         assert err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ["linking", "--lk", "1", "--mu", "3"],
-            ["unlink", "--mu", "3", "--sigma-l", "0", "--eta-l", "0", "--lk", "1"],
+            (["linking", "--lk", "1", "--mu", "3"],
+             "linking data needs 3 values for mu=3, got 1"),
+            (["unlink", "--mu", "3", "--sigma-l", "0", "--eta-l", "0", "--lk", "1"],
+             "linking data needs 3 values for mu=3, got 1"),
+            # the count is compared before any of the 5e9 pairs is listed
+            (["linking", "--lk", "1", "--mu", "100000"],
+             "linking data needs 4999950000 values for mu=100000, got 1"),
+            (["unlink", "--mu", "100000", "--sigma-l", "0", "--eta-l", "0", "--lk", "1"],
+             "linking data needs 4999950000 values for mu=100000, got 1"),
         ],
-        ids=["linking", "unlink"],
+        ids=["linking", "unlink", "linking-mu-100000", "unlink-mu-100000"],
     )
-    def test_lk_count_mismatch_exits_2(self, capsys, argv):
+    def test_lk_count_mismatch_exits_2(self, capsys, argv, error):
         code, out, err = run(capsys, "bound", *argv)
         assert code == 2
         assert out == ""
-        assert err == "error: linking data needs 3 values for mu=3, got 1\n"
+        assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["split-lt", "L9a29", "--sigma-l", "99", "--mu", "5"],
+             "formula 'split-lt' with a fixture does not read --mu, --sigma-l"),
+            (["split-multi", "--mu", "2", "--sigma-l", "-2", "--eta-l", "0", "--lk", "5",
+              "--split", "1,2"],
+             "formula 'split-multi' does not read --lk, --split"),
+            (["linking", "--lk", "1", "--sigma-l", "3", "--component", "1,0"],
+             "formula 'linking' does not read --sigma-l, --component"),
+            (["unlink", "--mu", "2", "--sigma-l", "-2", "--eta-l", "0", "--lk", "1",
+              "--nonsplit", "1,2"],
+             "formula 'unlink' does not read --nonsplit"),
+        ],
+        ids=["split-lt-fixture", "split-multi", "linking", "unlink"],
+    )
+    def test_unread_flag_exits_2(self, capsys, argv, error):
+        code, out, err = run(capsys, "bound", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {error}\n"
 
     def test_linking_hopf(self, capsys):
         code, out, _ = run(capsys, "bound", "linking", "--lk", "1")

@@ -15,7 +15,7 @@ from linksig.ccomplex import (
     assemble_h,
     h_at_minus_ones,
 )
-from linksig.hermitian import integer_symmetric_signature
+from linksig.hermitian import hermitian_signature, integer_symmetric_signature
 from linksig.invariants import (
     estimate_beta,
     lt_signature_from_multivariable,
@@ -231,6 +231,18 @@ class TestTorusScan:
         middle = grid.samples[(3**mu) // 2]
         assert middle.omega.is_minus_ones()
         assert (middle.sigma, middle.eta, middle.det_sign) == (1, 0, 1)
+
+    def test_exact_route_where_the_float_zero_test_is_wrong(self):
+        # H(-1) = [[4, 802], [802, 160800]] has det -4: one eigenvalue is about
+        # -2.5e-5, inside the float zero band of 1e-9 * 160800.
+        system = GeneralizedSeifertSystem(mu=1, rank=2, matrices={"+": [[1, 401], [0, 40200]]})
+        assert h_at_minus_ones(system).tolist() == [[4, 802], [802, 160800]]
+        floating = hermitian_signature(assemble_h(system, TorusPoint.minus_ones(1)))
+        assert (floating.signature, floating.nullity) == (1, 1)
+        assert signature_nullity(system, TorusPoint.minus_ones(1)) == (0, 0)
+        middle = torus_scan(system, 3).samples[1]
+        assert middle.omega.is_minus_ones()
+        assert (middle.sigma, middle.eta, middle.det_sign) == (0, 0, -1)
 
 
 class TestEstimateBeta:
