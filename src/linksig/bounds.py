@@ -155,13 +155,16 @@ def splitting_bound_lt(
     return replace(report, bound_name="split-lt", details={"total_lk": total_linking})
 
 
-def _linking_pairs(linking, mu: int | None = None) -> list[tuple[int, int, int]]:
-    """The pairs (i, j, lk_ij), i < j, of the linking data of a mu-colored link.
+def _linking_pairs(linking, mu: int | None = None) -> tuple[int, list[tuple[int, int, int]]]:
+    """mu and the pairs (i, j, lk_ij), i < j, of the linking data of a mu-colored link.
 
     ``linking`` is a symmetric mu x mu matrix, or its upper triangle as a
     flat row-major list of mu(mu-1)/2 values; ``mu`` defaults to the size
-    the data implies.  Entries are read by :func:`exact_int`.
+    the data implies.  Entries are read by :func:`exact_int`.  Raises
+    ``ValueError`` for a ``mu`` below 1.
     """
+    if mu is not None and mu < 1:
+        raise ValueError("mu must be at least 1")
     lk = np.asarray(linking)
     if lk.ndim == 2:
         rows = exact_int_rows(lk)
@@ -177,11 +180,11 @@ def _linking_pairs(linking, mu: int | None = None) -> list[tuple[int, int, int]]
         mu = (1 + isqrt(1 + 8 * len(values))) // 2
         if mu * (mu - 1) // 2 != len(values):
             raise ValueError(f"{len(values)} linking values do not fill an upper triangle")
-    count = max(mu, 0) * (max(mu, 0) - 1) // 2  # checked before the pairs are listed
+    count = mu * (mu - 1) // 2  # checked before the pairs are listed
     if len(values) != count:
         raise ValueError(f"linking data needs {count} values for mu={mu}, got {len(values)}")
     pairs = [(i, j) for i in range(mu) for j in range(i + 1, mu)]
-    return [(i, j, lk) for (i, j), lk in zip(pairs, values)]
+    return mu, [(i, j, lk) for (i, j), lk in zip(pairs, values)]
 
 
 def linking_number_bound(
@@ -202,9 +205,7 @@ def linking_number_bound(
     unflagged pair with lk = 0 raise ``ValueError``, whose message numbers
     the components ``1..mu``.
     """
-    pairs = _linking_pairs(linking, mu)
-    if mu is None:  # the size _linking_pairs read off the data
-        mu = (1 + isqrt(1 + 8 * len(pairs))) // 2
+    mu, pairs = _linking_pairs(linking, mu)
     flags: dict[tuple[int, int], bool] = {}
     items = nonsplit.items() if isinstance(nonsplit, Mapping) else nonsplit or ()
     for (i, j), flag in items:
@@ -308,7 +309,7 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
         raise ValueError("mu must be at least 1")
     if eta_l < 0:
         raise ValueError("eta_l must be non-negative")
-    lk_abs = sum(abs(lk) for _, _, lk in _linking_pairs(linking, mu))
+    lk_abs = sum(abs(lk) for _, _, lk in _linking_pairs(linking, mu)[1])
     raw = abs(sigma_l) + abs(mu - 1 - eta_l) + lk_abs
     return BoundReport(
         bound_name="unlink",

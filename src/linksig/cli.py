@@ -218,6 +218,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Signature and nullity of Hermitian matrices.
 
 Two routes are provided.  ``hermitian_signature`` classifies the spectrum of
-a complex Hermitian matrix in floating point, with an explicit relative
-tolerance for the zero eigenvalue test; it is the one-matrix case of
+a complex Hermitian matrix in floating point; the zero eigenvalue test uses
+the fixed relative tolerance ``DEFAULT_TOL``.  It is the one-matrix case of
 ``inertia_stack``, which classifies a whole stack with one ``eigvalsh``
 call.  ``integer_symmetric_signature`` handles integer symmetric matrices
 exactly (Sylvester's law of inertia) by fraction-free elimination, whose
@@ -16,12 +16,12 @@ interlacing forces ``|delta_sigma| + |delta_eta| = 1`` for every border.
 
 from __future__ import annotations
 
-from math import gcd, inf
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
-#: Default relative tolerance for the floating-point zero test.
+#: Relative tolerance of the floating-point zero test; it is not a parameter.
 DEFAULT_TOL = 1e-9
 
 
@@ -45,25 +45,22 @@ def _as_square_complex(matrix) -> np.ndarray:
     return a
 
 
-def inertia_stack(stack, tol: float = DEFAULT_TOL):
+def inertia_stack(stack):
     """Inertia of every matrix in an (N, n, n) stack of Hermitian matrices.
 
     Returns three length-N arrays: the counts of positive and of negative
-    eigenvalues, and the product of the eigenvalue magnitudes (|det|).  The
-    rules are those of :func:`hermitian_signature`, applied per matrix; all
-    eigenvalues come from one ``eigvalsh`` call on the stack.
+    eigenvalues, and the product of the eigenvalue magnitudes (|det|), all
+    from one ``eigvalsh`` call.  Eigenvalues within a matrix's threshold
+    ``DEFAULT_TOL * max(1, max |entry|)`` count as zero.
 
-    Raises ``ValueError`` unless ``0 <= tol < inf``, and for a non-finite
-    entry or a matrix that violates Hermitian symmetry beyond its scaled
-    tolerance.
+    Raises ``ValueError`` for a non-finite entry or a matrix that violates
+    Hermitian symmetry beyond that threshold.
     """
-    if not 0 <= tol < inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
     adjoint = stack.conj().swapaxes(-1, -2)
-    threshold = tol * np.maximum(1.0, scale)
+    threshold = DEFAULT_TOL * np.maximum(1.0, scale)
     if (np.abs(stack - adjoint).max(axis=(-2, -1), initial=0.0) > threshold).any():
         raise ValueError("matrix is not Hermitian within tolerance")
     # Symmetrize to kill rounding asymmetry before the eigensolver.
@@ -74,18 +71,17 @@ def inertia_stack(stack, tol: float = DEFAULT_TOL):
     return positives, negatives, np.abs(eigenvalues).prod(axis=1)
 
 
-def hermitian_signature(matrix, tol: float = DEFAULT_TOL) -> SignatureResult:
+def hermitian_signature(matrix) -> SignatureResult:
     """Signature, nullity and inertia counts of a Hermitian matrix.
 
-    Eigenvalues lambda with ``|lambda| <= tol * max(1, max |entry|)`` are
-    counted as zero.  The empty (0 x 0) matrix yields ``(0, 0, 0, 0)``.
+    Eigenvalues lambda with ``|lambda| <= DEFAULT_TOL * max(1, max |entry|)``
+    count as zero.  The empty (0 x 0) matrix yields ``(0, 0, 0, 0)``.
 
-    Raises ``ValueError`` for non-square input, a ``tol`` that is negative or
-    not finite, non-finite entries, or a matrix that is not Hermitian within
-    the scaled tolerance.
+    Raises ``ValueError`` for non-square input, non-finite entries, or a
+    matrix that is not Hermitian within that threshold.
     """
     a = _as_square_complex(matrix)
-    positives, negatives, _ = inertia_stack(a[None], tol)
+    positives, negatives, _ = inertia_stack(a[None])
     p, q = int(positives[0]), int(negatives[0])
     return SignatureResult(p - q, a.shape[0] - p - q, p, q)
 
@@ -187,12 +183,12 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
     return SignatureResult(positives - negatives, len(a), positives, negatives)
 
 
-def bordered_delta(matrix, border, corner, tol: float = DEFAULT_TOL):
+def bordered_delta(matrix, border, corner):
     """Change of (signature, nullity) under a rank-one bordering.
 
     Forms ``M' = [[M, z], [conj(z)^T, lam]]`` and returns
     ``(sigma(M') - sigma(M), eta(M') - eta(M))``.  When all inputs are
-    real integers the exact path is used, otherwise the floating one.
+    real integers the exact path is used, otherwise :func:`hermitian_signature`.
 
     Raises ``ValueError`` when the border length does not match ``M`` or an entry is not finite.
     """
@@ -212,8 +208,8 @@ def bordered_delta(matrix, border, corner, tol: float = DEFAULT_TOL):
         bordered[:n, n] = z
         bordered[n, :n] = z.conj()
         bordered[n, n] = corner
-        before = hermitian_signature(a, tol)
-        after = hermitian_signature(bordered, tol)
+        before = hermitian_signature(a)
+        after = hermitian_signature(bordered)
     else:
         big = [row + [c] for row, c in zip(base + [col], col + [lam])]
         before = integer_symmetric_signature(base) if base else SignatureResult(0, 0, 0, 0)

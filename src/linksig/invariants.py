@@ -107,20 +107,6 @@ class ScanGrid:
     def near_zero_count(self) -> int:
         return int(np.count_nonzero(self.det_sign == 0))
 
-    def lines(self):
-        """Yield every full row and column of sample indices, row-major."""
-        r = self.resolution
-        if self.mu == 1:
-            yield list(range(r))
-            return
-        shape = (r,) * self.mu
-        strides = [int(np.prod(shape[k + 1:])) for k in range(self.mu)]
-        for axis in range(self.mu):
-            fixed_axes = [k for k in range(self.mu) if k != axis]
-            for fixed in itertools.product(range(r), repeat=self.mu - 1):
-                base = sum(f * strides[k] for f, k in zip(fixed, fixed_axes))
-                yield [base + t * strides[axis] for t in range(r)]
-
 
 def _inertia(gss: GeneralizedSeifertSystem, values: np.ndarray):
     """Positive and negative counts and |det H| at each row of ``values``.
@@ -226,14 +212,17 @@ def undetected_sigma_jumps(grid: ScanGrid) -> list[tuple[int, int]]:
 
     A signature change between neighbours is legitimate only when the
     determinant crossed zero on the way: one endpoint flagged near-zero or
-    the real determinant changing sign.  Anything else is returned.
+    the real determinant changing sign.  Anything else is returned, as pairs
+    of flat row-major indices: axis by axis, and row-major within an axis.
     """
-    sigma, sign = grid.sigma.tolist(), grid.det_sign.tolist()
+    shape = (grid.resolution,) * grid.mu
+    arrays = [a.reshape(shape) for a in (grid.sigma, grid.det_sign, np.arange(grid.sigma.size))]
     bad = []
-    for line in grid.lines():
-        for left, right in zip(line, line[1:]):
-            if sigma[left] != sigma[right] and sign[left] * sign[right] > 0:
-                bad.append((left, right))
+    for axis in range(grid.mu):
+        # With the axis moved last, a boolean mask lists its pairs row-major.
+        sigma, sign, index = (np.moveaxis(a, axis, -1) for a in arrays)
+        jump = (sigma[..., 1:] != sigma[..., :-1]) & (sign[..., 1:] * sign[..., :-1] > 0)
+        bad += zip(index[..., :-1][jump].tolist(), index[..., 1:][jump].tolist())
     return bad
 
 

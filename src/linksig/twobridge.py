@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccomplex import GeneralizedSeifertSystem
+from .hermitian import exact_int
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,13 @@ class ConwayForm:
 
     Requires an odd number of positive coefficients with every odd-position
     coefficient even, i.e. the shape C(2a_1, b_1, 2a_2, ..., b_{n-1}, 2a_n).
+    Coefficients are read by :func:`exact_int`, so none is truncated.
     """
 
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(exact_int(c) for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         label = f"C({','.join(str(c) for c in coeffs)})"
         if not coeffs or len(coeffs) % 2 == 0:

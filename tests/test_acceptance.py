@@ -144,12 +144,12 @@ def test_criterion_5_exact_floating_agreement():
         n = int(rng.integers(1, 9))
         m = rng.integers(-9, 10, size=(n, n))
         m = np.tril(m) + np.tril(m, -1).T
-        assert integer_symmetric_signature(m) == hermitian_signature(m.astype(float), tol=1e-9)
+        assert integer_symmetric_signature(m) == hermitian_signature(m.astype(float))
     for _ in range(100):
         mu = int(rng.integers(1, 4))
         rank = int(rng.integers(1, 7))
         h = h_at_minus_ones(random_system(rng, mu, rank))
-        assert integer_symmetric_signature(h) == hermitian_signature(h.astype(float), tol=1e-9)
+        assert integer_symmetric_signature(h) == hermitian_signature(h.astype(float))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(5, elapsed, "exact and floating paths agree on 1100 matrices")

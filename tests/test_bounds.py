@@ -16,6 +16,7 @@ from linksig.bounds import (
 )
 from linksig.ccomplex import TorusPoint, assemble_h
 from linksig.hermitian import hermitian_signature
+from linksig.twobridge import ConwayForm
 
 UNKNOTS_2 = ComponentInvariants.unknots(2)
 
@@ -160,8 +161,11 @@ class TestLinkingNumberBound:
             ([[0, 1], [1, 0]], 3, "needs 3 values for mu=3, got 1"),
             ([1, 2], None, "2 linking values do not fill an upper triangle"),
             ([[0, 1], [2, 0]], None, "symmetric"),
+            ([], 0, "mu must be at least 1"),
+            ([1], -3, "mu must be at least 1"),
         ],
-        ids=["flat-short", "matrix-too-small", "flat-not-triangular", "asymmetric"],
+        ids=["flat-short", "matrix-too-small", "flat-not-triangular", "asymmetric", "mu-0",
+             "mu-negative"],
     )
     def test_malformed_linking_data(self, linking, mu, message):
         with pytest.raises(ValueError, match=message):
@@ -262,6 +266,8 @@ class TestUnlinkingBound:
         ),
         pytest.param(lambda: unlinking_bound(2, 0.5, 0, [1]), id="unlink-sigma"),
         pytest.param(lambda: rank_obstruction(2, 0.5, []), id="rank-beta"),
+        pytest.param(lambda: ConwayForm((4.7, 3, 2.9)), id="conway-float"),
+        pytest.param(lambda: ConwayForm((4, True, 2)), id="conway-bool"),
     ],
 )
 def test_non_integer_input_is_rejected_not_truncated(call):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from linksig import cli
 from linksig.cli import build_parser, main
 
 
@@ -195,6 +196,26 @@ class TestScan:
         _, out_b, _ = run(capsys, *args)
         assert out_a == out_b
 
+    # numpy raises MemoryError, naming the size, before it allocates anything;
+    # the stand-in raises it without allocating either.
+    NUMPY_MESSAGE = ("Unable to allocate 149. GiB for an array with shape (100000, 100000) "
+                     "and data type complex128")
+
+    @pytest.mark.parametrize(
+        "message, error",
+        [("", "out of memory"), (NUMPY_MESSAGE, NUMPY_MESSAGE)],
+        ids=["bare", "numpy-message"],
+    )
+    def test_allocation_failure_exits_2(self, capsys, tmp_path, monkeypatch, message, error):
+        def torus_scan(system, resolution):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "torus_scan", torus_scan)
+        out_path = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "scan", "C(4,3,2)", "--res", "100000", "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert not out_path.exists()
+
 
 class TestBound:
     def test_fixture_by_name(self, capsys):
@@ -314,8 +335,9 @@ class TestBound:
              "linking data needs 4999950000 values for mu=100000, got 1"),
             (["unlink", "--mu", "100000", "--sigma-l", "0", "--eta-l", "0", "--lk", "1"],
              "linking data needs 4999950000 values for mu=100000, got 1"),
+            (["linking", "--lk", "1", "--mu", "-3"], "mu must be at least 1"),
         ],
-        ids=["linking", "unlink", "linking-mu-100000", "unlink-mu-100000"],
+        ids=["linking", "unlink", "linking-mu-100000", "unlink-mu-100000", "linking-mu-negative"],
     )
     def test_lk_count_mismatch_exits_2(self, capsys, argv, error):
         code, out, err = run(capsys, "bound", *argv)

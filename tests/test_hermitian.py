@@ -165,11 +165,18 @@ class TestHermitianSignature:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_signature([[0, 1], [2, 0]])
 
-    # NaN and inf would make every eigenvalue count as zero.
-    @pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf], ids=["negative", "nan", "inf"])
-    def test_rejects_negative_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            hermitian_signature(np.eye(2), tol=tol)
+    # The threshold is DEFAULT_TOL * max(1, max|entry|): 4e-9 here, and 1e-9
+    # where the largest entry is below 1.
+    @pytest.mark.parametrize(
+        "diagonal, expected",
+        [
+            ([4.0, 5e-9, 3e-9, -5e-9], SignatureResult(1, 1, 2, 1)),
+            ([0.5, 2e-9, 5e-10], SignatureResult(2, 1, 2, 0)),
+        ],
+        ids=["scaled", "floored"],
+    )
+    def test_zero_test_threshold(self, diagonal, expected):
+        assert hermitian_signature(np.diag(diagonal)) == expected
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0, math.nan)])
     def test_rejects_non_finite(self, entry):
@@ -231,7 +238,7 @@ class TestIntegerSymmetricSignature:
             m = rng.integers(-9, 10, size=(n, n))
             m = m + m.T
             exact = integer_symmetric_signature(m)
-            floating = hermitian_signature(m.astype(float), tol=1e-9)
+            floating = hermitian_signature(m.astype(float))
             assert exact == floating
 
 

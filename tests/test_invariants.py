@@ -17,6 +17,7 @@ from linksig.ccomplex import (
 )
 from linksig.hermitian import hermitian_signature, integer_symmetric_signature
 from linksig.invariants import (
+    ScanGrid,
     estimate_beta,
     lt_signature_from_multivariable,
     scan_to_csv,
@@ -158,12 +159,23 @@ class TestTorusScan:
             if sample.eta > 0:
                 assert sample.near_zero
 
-    def test_lines_cover_rows_and_columns(self, example_system):
-        grid = torus_scan(example_system, 3)
-        lines = list(grid.lines())
-        assert len(lines) == 6  # 3 columns + 3 rows
-        for line in lines:
-            assert len(line) == 3
+    @pytest.mark.parametrize(
+        "resolution, mu, sigma, det_sign, expected",
+        [
+            (3, 2, [0, 0, 2, 0, 0, 2, 2, 0, 0], [1, 1, 1, 1, 1, 0, 1, 1, 1],
+             [(3, 6), (1, 2), (6, 7)]),
+            (3, 2, [0, 0, 2, 0, 0, 2, 2, 0, 0], [1, 1, -1, 1, 1, 0, 1, 1, 1],
+             [(3, 6), (6, 7)]),
+            (4, 1, [0, 2, 2, 0], [1, 1, -1, -1], [(0, 1), (2, 3)]),
+        ],
+        ids=["columns-then-rows", "sign-change-excuses", "one-color"],
+    )
+    def test_undetected_jumps_on_hand_built_grids(self, resolution, mu, sigma, det_sign, expected):
+        # eta only marks the flagged sample; the check reads sigma and det_sign.
+        eta = [int(s == 0) for s in det_sign]
+        grid = ScanGrid(resolution, mu, np.array(sigma), np.array(eta),
+                        np.ones(len(sigma)), np.array(det_sign))
+        assert undetected_sigma_jumps(grid) == expected
 
     @settings(deadline=None, max_examples=40)
     @given(
