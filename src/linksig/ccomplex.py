@@ -238,8 +238,15 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
     if gss.rank < 0:
         problems.append(f"rank must be non-negative, got {gss.rank}")
 
-    expected = set(canonical_patterns(gss.mu))
     present = set(gss.matrices)
+    # 2^(mu-1) > 2 * held, tested before any pattern is listed: more matrices
+    # are missing than held, and one message stands for the list.
+    if gss.mu - 1 >= (2 * len(present)).bit_length():
+        problems.append(
+            f"mu={gss.mu} needs 2^{gss.mu - 1} canonical matrices, the system has {len(present)}"
+        )
+        return problems
+    expected = set(canonical_patterns(gss.mu))
     for pattern in sorted(expected - present, reverse=True):
         problems.append(f"missing matrix for canonical pattern '{pattern_to_string(pattern)}'")
     for pattern in sorted(present - expected, reverse=True):

@@ -215,7 +215,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"invariant violation: {problem}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:  # numpy names the allocation it could not make

@@ -171,9 +171,11 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
+    # Allocated before the axis is built, so that an impossible R^mu fails at once.
+    values = np.empty((resolution,) * gss.mu + (gss.mu,), dtype=complex)
     axis = np.array([torus_coordinate(q) for q in _axis(resolution)])
-    grids = np.meshgrid(*[axis] * gss.mu, indexing="ij")
-    values = np.stack(grids, axis=-1).reshape(-1, gss.mu)
+    np.stack(np.meshgrid(*[axis] * gss.mu, indexing="ij"), axis=-1, out=values)
+    values = values.reshape(-1, gss.mu)
     mirrored = len(values) // 2
     computed = _inertia(gss, values[: len(values) - mirrored])
     positives, negatives, abs_det = (

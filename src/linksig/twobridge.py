@@ -18,9 +18,10 @@ The matrix entries below follow from that picture:
   the diagonal of (A^{++}, A^{+-}) when c = -1 and (-1, 0) when c = +1.
   These values are pinned by the torus links C(2a), whose one-variable
   signatures are classical.
-* A loop spanning a junction picks up one extra -1 on the A^{++} (and by
+* A loop spanning a junction of b half-turns starts from the values of its
+  first clasp's sign and picks up one extra -1 on the A^{++} (and by
   transposition A^{--}) diagonal per full twist of the band pair; a
-  leftover half twist spreads -1/2 over all four push-off directions.
+  leftover half twist (b odd) turns the remaining 0 of the pair into -1.
   The b = 1 case is pinned by the Whitehead link C(2, 1, 2), whose nullity
   vanishes on the whole torus.
 * Adjacent loops share one clasp; the shared clasp places a single +1 off
@@ -104,56 +105,32 @@ def predicted_splitting(form: ConwayForm) -> int:
     return form.clasp_count
 
 
-def _group_signs(form: ConwayForm) -> list[int]:
-    signs = [-1]
-    for b in form.b_values:
-        signs.append(signs[-1] * (-1 if b % 2 else 1))
-    return signs
+def _loops(form: ConwayForm) -> list[tuple[int, int]]:
+    """(sign, b) for each basis loop k, which runs through clasps k and k+1.
 
-
-def _clasp_groups(form: ConwayForm) -> list[int]:
-    groups = []
-    for index, a in enumerate(form.a_values):
-        groups.extend([index] * a)
-    return groups
+    sign is that of clasp k's group; b is the half-turns of the twist region
+    the loop crosses, 0 when both clasps lie in one group.
+    """
+    loops, sign = [], -1
+    for a, b in zip(form.a_values, form.b_values + (0,)):
+        loops += [(sign, 0)] * (a - 1) + [(sign, b)]
+        sign *= -1 if b % 2 else 1
+    return loops[:-1]  # the last clasp starts no loop
 
 
 def build_gss(form: ConwayForm) -> GeneralizedSeifertSystem:
     """The rank s-1 generalized Seifert system of the two-disk C-complex."""
-    s = form.clasp_count
-    rank = s - 1
-    group_of = _clasp_groups(form)  # group index per clasp, 0-based
-    signs = _group_signs(form)
-    b_values = form.b_values
-
-    a_pp = np.zeros((rank, rank), dtype=np.int64)
+    rank = form.clasp_count - 1
+    a_pp = np.zeros((rank, rank), dtype=np.int64)  # before the walk: an impossible rank fails here
     a_pm = np.zeros((rank, rank), dtype=np.int64)
-
-    for k in range(rank):  # loop k runs through clasps k and k+1
-        left, right = group_of[k], group_of[k + 1]
-        if left == right:
-            if signs[left] == -1:
-                a_pm[k, k] = -1
-            else:
-                a_pp[k, k] = -1
-        else:
-            b = b_values[left]
-            full_twists = b // 2
-            if b % 2:
-                a_pp[k, k] = -(full_twists + 1)
-                a_pm[k, k] = -1
-            elif signs[left] == -1:
-                a_pp[k, k] = -full_twists
-                a_pm[k, k] = -1
-            else:
-                a_pp[k, k] = -(full_twists + 1)
-
-    for k in range(rank - 1):  # loops k and k+1 share clasp k+1
-        if signs[group_of[k + 1]] == -1:
-            a_pm[k, k + 1] = 1
-        else:
-            a_pm[k + 1, k] = 1
-
+    for k, (sign, b) in enumerate(_loops(form)):
+        pp, pm = (0, -1) if sign < 0 else (-1, 0)
+        if b % 2:
+            pp = pm = -1
+        a_pp[k, k] = pp - b // 2
+        a_pm[k, k] = pm
+        if k:  # loops k-1 and k share clasp k
+            a_pm[(k - 1, k) if sign < 0 else (k, k - 1)] = 1
     return GeneralizedSeifertSystem(
         mu=2,
         rank=rank,
@@ -166,24 +143,14 @@ def h_minus_one_closed_form(form: ConwayForm) -> np.ndarray:
     """The tridiagonal value of H at (-1, -1), computed directly.
 
     Returns 4 T where T has off-diagonal entries 1 and diagonal entries
-    -2 d_k with d_k = 1 for within-group loops and ceil(b/2) + 1 for loops
-    spanning a twist region of b half-turns.  Must agree entrywise with
-    ``h_at_minus_ones(build_gss(form))``.
+    -2 d_k with d_k = ceil(b/2) + 1 for a loop crossing a twist region of
+    b half-turns, which is 1 for a within-group loop (b = 0).  Must agree
+    entrywise with ``h_at_minus_ones(build_gss(form))``.
     """
-    s = form.clasp_count
-    rank = s - 1
-    group_of = _clasp_groups(form)
-    b_values = form.b_values
+    rank = form.clasp_count - 1
     t = np.zeros((rank, rank), dtype=np.int64)
-    for k in range(rank):
-        left, right = group_of[k], group_of[k + 1]
-        if left == right:
-            d = 1
-        else:
-            b = b_values[left]
-            d = (b + 1) // 2 + 1
-        t[k, k] = -2 * d
-        if k + 1 < rank:
-            t[k, k + 1] = 1
-            t[k + 1, k] = 1
+    for k, (_, b) in enumerate(_loops(form)):
+        t[k, k] = -2 * ((b + 1) // 2 + 1)
+        if k:
+            t[k - 1, k] = t[k, k - 1] = 1
     return 4 * t

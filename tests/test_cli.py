@@ -71,6 +71,17 @@ class TestSig:
         assert code == 3
         assert "missing" in err
 
+    @pytest.mark.parametrize("mu", [18, 40, 10**23])
+    def test_huge_mu_exits_3_with_one_message(self, capsys, tmp_path, mu):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"mu": mu, "rank": 1, "matrices": {"+": [[1]]}}), encoding="utf-8"
+        )
+        code, out, err = run(capsys, "sig", str(path), "--omega", "1/2")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) <= 3
+        assert f"mu={mu} needs 2^{mu - 1} canonical matrices, the system has 1" in err
+
     # true among numbers: np.asarray would otherwise read it as 1
     @pytest.mark.parametrize("entry", ["Infinity", "NaN", "null", "0.5", '"1"', "true"])
     def test_non_finite_entry_exits_3(self, capsys, tmp_path, entry):
@@ -214,6 +225,15 @@ class TestScan:
         out_path = tmp_path / "scan.csv"
         code, out, err = run(capsys, "scan", "C(4,3,2)", "--res", "100000", "--out", str(out_path))
         assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert not out_path.exists()
+
+    def test_impossible_resolution_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "scan.csv"
+        code, out, err = run(
+            capsys, "scan", "C(4,3,2)", "--res", "100000000000000000000", "--out", str(out_path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out_path.exists()
 
 
@@ -423,6 +443,15 @@ class TestBound:
     def test_rank_requires_fixture(self, capsys):
         code, _, err = run(capsys, "bound", "rank")
         assert code == 2
+
+    @pytest.mark.parametrize("formula", ["split-lt", "split-multi"])
+    def test_oversize_inline_mu_exits_2(self, capsys, formula):
+        code, out, err = run(
+            capsys, "bound", formula, "--mu", "100000000000000000000000",
+            "--sigma-l", "0", "--eta-l", "0", "--total-lk", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_unlink_inline(self, capsys):
         code, out, _ = run(

@@ -5,6 +5,7 @@ import pytest
 
 from linksig.bounds import ComponentInvariants, splitting_bound_multivariable
 from linksig.ccomplex import TorusPoint, h_at_minus_ones, validate
+from linksig.cli import main
 from linksig.hermitian import integer_symmetric_signature
 from linksig.invariants import signature_nullity
 from linksig.twobridge import (
@@ -78,6 +79,36 @@ class TestBuildGss:
         assert system.matrices[(1, 1)].tolist() == [[0, 0], [0, -2]]
         assert system.matrices[(1, -1)].tolist() == [[-1, 1], [0, -1]]
         assert validate(system) == []
+
+    # (A^{++}, A^{+-}) for each loop case, pinned entry by entry.
+    @pytest.mark.parametrize(
+        "text, a_pp, a_pm",
+        [
+            ("6", [[0, 0], [0, 0]], [[-1, 1], [0, -1]]),  # within a group of sign -1
+            ("2,2,4", [[-1, 0], [0, 0]], [[-1, 1], [0, -1]]),  # even junction at sign -1
+            ("2,1,4", [[-1, 0], [0, -1]], [[-1, 0], [1, 0]]),  # odd junction, then sign +1
+            ("2,1,2,2,2", [[-1, 0], [0, -2]], [[-1, 0], [1, 0]]),  # even junction at sign +1
+            ("2,1,2,1,2", [[-1, 0], [0, -1]], [[-1, 0], [1, -1]]),  # odd junction at sign +1
+        ],
+    )
+    def test_pins_both_matrices(self, text, a_pp, a_pm):
+        system = build_gss(ConwayForm.parse(text))
+        assert system.matrices[(1, 1)].tolist() == a_pp
+        assert system.matrices[(1, -1)].tolist() == a_pm
+        assert validate(system) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["twobridge", "1000000000000000000000,1,2"],
+            ["sig", "C(1000000000000000000000,1,2)", "--omega", "1/3,1/3"],
+        ],
+    )
+    def test_impossible_rank_exits_2(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_hopf_is_rank_zero(self):
         system = build_gss(ConwayForm.parse("2"))
