@@ -31,14 +31,16 @@ from .hermitian import exact_int, exact_int_rows
 class ComponentInvariants:
     """Per-color Levine-Tristram values (sigma_i, eta_i) at the chosen points.
 
-    An unknotted component contributes (0, 0) at every point, so
-    :meth:`unknots` is safe regardless of where the link is evaluated.
+    Values are read by :func:`exact_int`.  An unknotted component contributes
+    (0, 0) at every point, so :meth:`unknots` is safe wherever the link is evaluated.
     """
 
     sigmas: tuple[int, ...]
     etas: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "sigmas", tuple(exact_int(s) for s in self.sigmas))
+        object.__setattr__(self, "etas", tuple(exact_int(e) for e in self.etas))
         if len(self.sigmas) != len(self.etas):
             raise ValueError("sigma and eta lists must have equal length")
         if any(e < 0 for e in self.etas):
@@ -50,7 +52,7 @@ class ComponentInvariants:
 
     @classmethod
     def of(cls, *pairs) -> "ComponentInvariants":
-        return cls(tuple(exact_int(s) for s, _ in pairs), tuple(exact_int(e) for _, e in pairs))
+        return cls(tuple(s for s, _ in pairs), tuple(e for _, e in pairs))
 
     @classmethod
     def from_records(cls, records) -> "ComponentInvariants":
@@ -95,6 +97,12 @@ class BoundReport:
         return " ".join(parts)
 
 
+def _positive_mu(mu) -> int:
+    if (mu := exact_int(mu)) < 1:
+        raise ValueError("mu must be at least 1")
+    return mu
+
+
 def _check_point(mu: int, omega: TorusPoint | None, comps: ComponentInvariants) -> None:
     if comps.mu != mu:
         raise ValueError(f"component data for {comps.mu} colors, expected {mu}")
@@ -114,12 +122,11 @@ def splitting_bound_multivariable(
 
         |sigma_L - sum sigma_i| + |mu - 1 - eta_L + sum eta_i|
 
-    ``sigma_l``, ``eta_l`` and ``total_linking`` are read by :func:`exact_int`.
+    ``mu``, ``sigma_l``, ``eta_l`` and ``total_linking`` are read by :func:`exact_int`.
     """
     sigma_l, eta_l = exact_int(sigma_l), exact_int(eta_l)
     total_linking = None if total_linking is None else exact_int(total_linking)
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
+    mu = _positive_mu(mu)
     if eta_l < 0:
         raise ValueError("eta_l must be non-negative")
     _check_point(mu, omega, comps)
@@ -144,11 +151,10 @@ def splitting_bound_lt(
 
         |sigma_L + sum lk - sum sigma_i| + |mu - 1 - eta_L + sum eta_i|
 
-    that is, the multivariable bound on the diagonal.  ``sigma_lt``,
+    that is, the multivariable bound on the diagonal.  ``mu``, ``sigma_lt``,
     ``eta_lt`` and ``total_linking`` are read by :func:`exact_int`.
     """
-    sigma_lt, eta_lt = exact_int(sigma_lt), exact_int(eta_lt)
-    total_linking = exact_int(total_linking)
+    sigma_lt, eta_lt, total_linking = map(exact_int, (sigma_lt, eta_lt, total_linking))
     report = splitting_bound_multivariable(
         mu, sigma_lt + total_linking, eta_lt, comps, omega, total_linking
     )
@@ -160,11 +166,10 @@ def _linking_pairs(linking, mu: int | None = None) -> tuple[int, list[tuple[int,
 
     ``linking`` is a symmetric mu x mu matrix, or its upper triangle as a
     flat row-major list of mu(mu-1)/2 values; ``mu`` defaults to the size
-    the data implies.  Entries are read by :func:`exact_int`.  Raises
+    the data implies.  ``mu`` and the entries are read by :func:`exact_int`.  Raises
     ``ValueError`` for a ``mu`` below 1.
     """
-    if mu is not None and mu < 1:
-        raise ValueError("mu must be at least 1")
+    mu = None if mu is None else _positive_mu(mu)
     lk = np.asarray(linking)
     if lk.ndim == 2:
         rows = exact_int_rows(lk)
@@ -257,14 +262,13 @@ def rank_obstruction(
     signature additivity, or some component has positive nullity there,
     the bound mu - 1 - beta cannot be attained, so the conclusion becomes
     strict; with the total linking parity supplied, it is pushed further
-    to the next value of the correct parity.  ``beta_est``,
+    to the next value of the correct parity.  ``mu``, ``beta_est``,
     ``total_linking`` and each sample's ``sigma_l`` and ``eta_l`` are read by
     :func:`exact_int`.
     """
     beta_est = exact_int(beta_est)
     total_linking = None if total_linking is None else exact_int(total_linking)
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
+    mu = _positive_mu(mu)
     if beta_est < 0:
         raise ValueError("beta_est must be non-negative")
     base = mu - 1 - beta_est
@@ -302,11 +306,10 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
 
     rounded up.  The raw value is at most twice the unlinking number.
     ``linking`` takes either form that :func:`_linking_pairs` reads;
-    ``sigma_l`` and ``eta_l`` are read by :func:`exact_int`.
+    ``mu``, ``sigma_l`` and ``eta_l`` are read by :func:`exact_int`.
     """
     sigma_l, eta_l = exact_int(sigma_l), exact_int(eta_l)
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
+    mu = _positive_mu(mu)
     if eta_l < 0:
         raise ValueError("eta_l must be non-negative")
     lk_abs = sum(abs(lk) for _, _, lk in _linking_pairs(linking, mu)[1])

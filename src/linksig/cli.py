@@ -52,90 +52,79 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _component_record(item: str) -> dict:
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
+def _ints(flag: str, item: str, expects: str | None = None) -> list[int]:
+    """The comma-separated integers of one ``flag`` value; given ``expects``, exactly two."""
     fields = item.split(",")
-    if len(fields) != 2:
-        raise ValueError(f"--component expects 'sigma,eta', got {item!r}")
-    return {"sigma": int(fields[0]), "eta": int(fields[1])}
+    if expects and len(fields) != 2:
+        raise ValueError(f"{expects}, got {item!r}")
+    try:
+        return [int(field) for field in fields]
+    except ValueError:
+        raise ValueError(f"{flag} expects integers, got {item!r}") from None
 
 
-def _require(args, names) -> None:
-    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"missing required inputs: {', '.join(missing)}")
-
-
-def _inline_record(args, kind: str) -> dict:
-    """The fixture record that the inline flags of split-lt/split-multi describe."""
-    _require(args, ["mu", "sigma_l", "eta_l"] + ["total_lk"] * (kind == "lt"))
-    record = {
-        "kind": kind,
-        "mu": args.mu,
-        "sigma_L": args.sigma_l,
-        "eta_L": args.eta_l,
-        "total_lk": args.total_lk,
-        "components": [_component_record(c) for c in args.component or ["0,0"] * args.mu],
-    }
-    if args.omega:
-        record["omega"] = args.omega.split(",")
-    return record
-
-
-def _pair_flags(items, flag: bool) -> list[tuple[tuple[int, int], bool]]:
-    flags = []
-    for item in items or []:
-        fields = item.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"pair flags expect 'i,j', got {item!r}")
-        flags.append(((int(fields[0]) - 1, int(fields[1]) - 1), flag))
-    return flags
-
-
-#: The value flags of ``bound`` in usage-line order, and the ones each formula
-#: reads inline.  A formula given a fixture reads none.
-_BOUND_FLAGS = ("mu", "sigma_l", "eta_l", "total_lk", "lk", "component", "nonsplit", "split",
-                "omega")
-_SPLIT_READS = {"mu", "sigma_l", "eta_l", "total_lk", "component", "omega"}
-_INLINE_READS = {
-    "split-lt": _SPLIT_READS,
-    "split-multi": _SPLIT_READS,
-    "linking": {"mu", "lk", "nonsplit", "split"},
-    "unlink": {"mu", "sigma_l", "eta_l", "lk"},
+#: The value flags of ``bound`` in usage-line order.
+_BOUND_FLAGS = "mu sigma_l eta_l total_lk lk component nonsplit split omega".split()
+#: Per formula: its fixture kind (None: inline flags only), then the value
+#: flags an inline call must give and the further ones it may give.  A
+#: formula given a fixture reads no value flag.
+_FORMULAS = {
+    "split-lt": ("lt", "mu sigma_l eta_l total_lk", "component omega"),
+    "split-multi": ("multi", "mu sigma_l eta_l", "total_lk component omega"),
+    "rank": ("rank", "", ""),
+    "linking": (None, "lk", "mu nonsplit split"),
+    "unlink": (None, "mu sigma_l eta_l lk", ""),
 }
 
 
 def cmd_bound(args) -> int:
-    kind = {"split-lt": "lt", "split-multi": "multi", "rank": "rank"}.get(args.formula)
-    if args.fixture is not None and kind is None:
-        raise ValueError(f"formula {args.formula!r} takes inline flags, not a fixture file")
-    reads = () if args.fixture is not None else _INLINE_READS.get(args.formula, ())
-    unread = [f"--{n.replace('_', '-')}" for n in _BOUND_FLAGS
-              if n not in reads and getattr(args, n) is not None]
+    kind, needs, optional = _FORMULAS[args.formula]
+    if args.fixture is not None:
+        if kind is None:
+            raise ValueError(f"formula {args.formula!r} takes inline flags, not a fixture file")
+        needs = optional = ""
+    reads = f"{needs} {optional}".split()
+    unread = [_flag(n) for n in _BOUND_FLAGS if n not in reads and getattr(args, n) is not None]
     if unread:
         source = "with a fixture " if args.fixture is not None else ""
         raise ValueError(f"formula {args.formula!r} {source}does not read {', '.join(unread)}")
+    missing = [_flag(n) for n in needs.split() if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"missing required inputs: {', '.join(missing)}")
+
     if kind is None:
-        _require(args, ["lk"] if args.formula == "linking" else ["mu", "sigma_l", "eta_l", "lk"])
-        lk = [int(v) for v in args.lk.split(",")]
-        if args.formula == "linking":
-            flags = _pair_flags(args.nonsplit, True) + _pair_flags(args.split, False)
-            report = linking_number_bound(lk, flags, args.mu)
-        else:
+        lk = _ints("--lk", args.lk)
+        if args.formula == "unlink":
             report = unlinking_bound(args.mu, args.sigma_l, args.eta_l, lk)
+        else:
+            pairs = [(_ints(_flag(n), item, "pair flags expect 'i,j'"), n == "nonsplit")
+                     for n in ("nonsplit", "split") for item in getattr(args, n) or ()]
+            flags = [((i - 1, j - 1), flag) for (i, j), flag in pairs]
+            report = linking_number_bound(lk, flags, args.mu)
         print(report.render())
         return EXIT_OK
-
     if args.fixture is not None:
         record = catalog.resolve_fixture(args.fixture)
         if record.get("kind") != kind:
-            raise ValueError(
-                f"fixture {record.get('name', args.fixture)!r} has kind "
-                f"{record.get('kind')!r}, expected {kind!r}"
-            )
+            raise ValueError(f"fixture {record.get('name', args.fixture)!r} has kind "
+                             f"{record.get('kind')!r}, expected {kind!r}")
     elif kind == "rank":
         raise ValueError("the rank obstruction is evaluated from a fixture file")
-    else:
-        record = _inline_record(args, kind)
+    else:  # the fixture record that the inline flags describe
+        try:  # the unknot default lists --mu components
+            items = args.component or ["0,0"] * args.mu
+        except (OverflowError, MemoryError):
+            raise ValueError(f"--mu {args.mu} is too large to list its components") from None
+        comps = [_ints("--component", c, "--component expects 'sigma,eta'") for c in items]
+        record = {"kind": kind, "mu": args.mu, "sigma_L": args.sigma_l, "eta_L": args.eta_l,
+                  "total_lk": args.total_lk,
+                  "components": [{"sigma": s, "eta": e} for s, e in comps]}
+        if args.omega:
+            record["omega"] = args.omega.split(",")
     name = record.get("name")
     print((f"name={name} " if name else "") + evaluate_fixture(record).render())
     return EXIT_OK

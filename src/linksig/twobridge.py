@@ -127,6 +127,8 @@ def build_gss(form: ConwayForm) -> GeneralizedSeifertSystem:
         pp, pm = (0, -1) if sign < 0 else (-1, 0)
         if b % 2:
             pp = pm = -1
+        if pp - b // 2 < -(2**63):  # below the int64 range
+            raise ValueError(f"{form.name}: coefficient {b} is too large for an int64 matrix")
         a_pp[k, k] = pp - b // 2
         a_pm[k, k] = pm
         if k:  # loops k-1 and k share clasp k

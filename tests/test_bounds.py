@@ -266,6 +266,10 @@ class TestUnlinkingBound:
         ),
         pytest.param(lambda: unlinking_bound(2, 0.5, 0, [1]), id="unlink-sigma"),
         pytest.param(lambda: rank_obstruction(2, 0.5, []), id="rank-beta"),
+        pytest.param(lambda: rank_obstruction(2.5, 0, []), id="rank-mu"),
+        pytest.param(lambda: rank_obstruction(True, 0, []), id="rank-mu-bool"),
+        pytest.param(lambda: linking_number_bound([1], mu=2.5), id="linking-mu"),
+        pytest.param(lambda: ComponentInvariants((2.5,), (0,)), id="components-direct"),
         pytest.param(lambda: ConwayForm((4.7, 3, 2.9)), id="conway-float"),
         pytest.param(lambda: ConwayForm((4, True, 2)), id="conway-bool"),
     ],
@@ -273,6 +277,12 @@ class TestUnlinkingBound:
 def test_non_integer_input_is_rejected_not_truncated(call):
     with pytest.raises(ValueError, match="non-integer value"):
         call()
+
+
+def test_integral_float_mu_reads_as_int():
+    assert unlinking_bound(2.0, 0, 0, [1]) == unlinking_bound(2, 0, 0, [1])
+    assert unlinking_bound(2.0, 0, 0, [1]).render() == "formula=unlink value=1 raw=2"
+    assert linking_number_bound([1], mu=2.0) == linking_number_bound([1], mu=2)
 
 
 class TestBoundReport:

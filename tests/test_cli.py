@@ -452,6 +452,23 @@ class TestBound:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "--mu" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["linking", "--lk", "1,x"], "--lk"),
+            (["split-lt", "--mu", "2", "--sigma-l", "0", "--eta-l", "0", "--total-lk", "1",
+              "--component", "0,0", "--component", "1,x"], "--component"),
+            (["linking", "--lk", "1", "--nonsplit", "1,y"], "--nonsplit"),
+        ],
+        ids=["lk", "component", "nonsplit"],
+    )
+    def test_malformed_integer_names_its_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, "bound", *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
+        assert repr(argv[-1]) in err
 
     def test_unlink_inline(self, capsys):
         code, out, _ = run(
@@ -570,13 +587,18 @@ class TestRepeatedCalls:
         assert build_parser() is parser
 
 
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under the README section ``heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"## {heading}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_commands() -> list[tuple[list[str], str]]:
     """(argv, expected output) of every command in the README "Command line" block.
 
     A command's expected text follows ``# ->`` on the same line or alone on the next one.
     """
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Command line", "sh")
     cases = []
     for line in block.replace("\\\n", " ").splitlines():
         command, _, expect = line.partition("# ->")
@@ -596,3 +618,11 @@ def test_readme_command_line_examples(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert expect and expect in out, (argv, out)
+
+
+def test_readme_library_example(capsys):
+    block = readme_block("Library example", "python")
+    expect = block.rsplit("#", 1)[1].strip()
+    assert expect == "-2 0 3"
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == f"{expect}\n"

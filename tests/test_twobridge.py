@@ -15,6 +15,9 @@ from linksig.twobridge import (
     predicted_splitting,
 )
 
+# A twist coefficient whose -floor(b/2) lies below the int64 range.
+OVERSIZE_B = "100000000000000000000000"
+
 
 def all_forms(n_groups, values=(1, 2, 3, 4)):
     """Every valid form with the given group count and coefficients in values."""
@@ -102,6 +105,8 @@ class TestBuildGss:
         [
             ["twobridge", "1000000000000000000000,1,2"],
             ["sig", "C(1000000000000000000000,1,2)", "--omega", "1/3,1/3"],
+            ["twobridge", f"2,{OVERSIZE_B},2"],
+            ["sig", f"C(2,{OVERSIZE_B},2)", "--omega", "1/3,1/3"],
         ],
     )
     def test_impossible_rank_exits_2(self, capsys, argv):
@@ -109,6 +114,8 @@ class TestBuildGss:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if OVERSIZE_B in argv[1]:  # -floor(b/2) does not fit the int64 matrix
+            assert f"C(2,{OVERSIZE_B},2): coefficient {OVERSIZE_B} " in err
 
     def test_hopf_is_rank_zero(self):
         system = build_gss(ConwayForm.parse("2"))
