@@ -8,10 +8,17 @@ re-evaluates all of them; a mismatch means the shipped data is corrupt.
 The shipped files are read once per process, and a lookup by name parses
 only the record it returns.  :func:`check_shipped`, the gate every CLI
 command passes, runs that check once per process.
+
+:func:`resolve_system` reads a file named on the command line on every
+call, but parses and validates a system's text once while it is unchanged:
+the cache is keyed on the text alone, never on a path or a time stamp.
+Every call returns a fresh system over shared read-only arrays, and a
+failure is not cached.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import os
@@ -80,27 +87,55 @@ def load_system(name: str) -> ccomplex.GeneralizedSeifertSystem:
     return ccomplex.system_from_dict(_shipped("system", name))
 
 
-def resolve_system(token: str) -> ccomplex.GeneralizedSeifertSystem:
-    """Interpret a CLI token as a system: file path, shipped name, or C(...).
-
-    Conway-form names outside the shipped set are built on the fly through
-    the two-bridge construction.  Raises :class:`InvalidSystem` when the
-    system fails :func:`ccomplex.validate`.
-    """
-    if os.path.exists(token):
-        system = ccomplex.load_system(token)
-    elif token in _texts("systems"):
-        system = load_system(token)
-    elif match := _CONWAY_NAME.match(token.strip()):
-        system = twobridge.build_gss(twobridge.ConwayForm.parse(match.group(1)))
-    else:
-        raise ValueError(
-            f"{token!r} is neither a file, a shipped system name, nor a Conway form C(...)"
-        )
+def _checked(system: ccomplex.GeneralizedSeifertSystem) -> ccomplex.GeneralizedSeifertSystem:
     problems = ccomplex.validate(system)
     if problems:
         raise InvalidSystem(problems)
     return system
+
+
+@functools.lru_cache(maxsize=32)
+def _validated(text: str) -> ccomplex.GeneralizedSeifertSystem:
+    """The system in a record's JSON text, parsed and validated once per text.
+
+    Its arrays are read-only.  A failure raises and is not cached.
+    """
+    system = _checked(ccomplex.system_from_dict(ccomplex.parse_record(text)))
+    for array in [*system.matrices.values(), system.linking]:
+        if array is not None:
+            array.setflags(write=False)
+    return system
+
+
+def _from_text(text: str) -> ccomplex.GeneralizedSeifertSystem:
+    """A fresh system over the cached read-only arrays of ``text``'s system."""
+    cached = _validated(text)
+    return ccomplex.GeneralizedSeifertSystem(
+        cached.mu, cached.rank, cached.matrices, cached.linking, copy.deepcopy(cached.name)
+    )
+
+
+def resolve_system(token: str) -> ccomplex.GeneralizedSeifertSystem:
+    """Interpret a CLI token as a system: file path, shipped name, or C(...).
+
+    A file is read on every call; its text is parsed and validated once
+    while it stays the same.  Conway-form names outside the shipped set are
+    built on the fly through the two-bridge construction.  Raises
+    :class:`InvalidSystem` when the system fails :func:`ccomplex.validate`.
+    """
+    if os.path.exists(token):
+        text = ccomplex.read_text(token)
+        try:
+            return _from_text(text)
+        except ccomplex.RecordError as exc:
+            raise ValueError(f"{token}: {exc}") from exc
+    if token in _texts("systems"):
+        return _from_text(_texts("systems")[token])
+    if match := _CONWAY_NAME.match(token.strip()):
+        return _checked(twobridge.build_gss(twobridge.ConwayForm.parse(match.group(1))))
+    raise ValueError(
+        f"{token!r} is neither a file, a shipped system name, nor a Conway form C(...)"
+    )
 
 
 def resolve_fixture(token: str) -> dict:

@@ -387,16 +387,37 @@ def system_from_dict(doc: Mapping) -> GeneralizedSeifertSystem:
     )
 
 
-def read_record(path) -> dict:
-    """The JSON object in a file; ``ValueError`` for invalid JSON or a non-object."""
+class RecordError(ValueError):
+    """Text that is not a JSON object; the message does not name the file."""
+
+
+def read_text(path) -> str:
+    """A file's text, read in text mode: ``\\r\\n`` becomes ``\\n``."""
     with open(path, encoding="utf-8") as handle:
         try:
-            record = json.load(handle)
-        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+            return handle.read()
+        except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def parse_record(text: str) -> dict:
+    """The JSON object in ``text``; :class:`RecordError` for invalid JSON or a non-object."""
+    try:
+        record = json.loads(text)
+    except ValueError as exc:
+        raise RecordError(f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
-        raise ValueError(f"{path}: record must be a JSON object")
+        raise RecordError("record must be a JSON object")
     return record
+
+
+def read_record(path) -> dict:
+    """The JSON object in a file; ``ValueError`` for invalid JSON or a non-object."""
+    text = read_text(path)
+    try:
+        return parse_record(text)
+    except RecordError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_system(path) -> GeneralizedSeifertSystem:

@@ -141,3 +141,149 @@ class TestResolveSystem:
     def test_unknown_token(self):
         with pytest.raises(ValueError, match="neither"):
             catalog.resolve_system("definitely-not-a-system")
+
+
+class TestSystemCache:
+    """``resolve_system`` parses and validates a system's text once while it is unchanged."""
+
+    OMEGA = ["--omega", "1/3,1/3"]
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        catalog._validated.cache_clear()
+        yield
+        catalog._validated.cache_clear()
+
+    @staticmethod
+    def write(path, system):
+        from linksig.ccomplex import save_system
+
+        save_system(system, path)
+        return str(path)
+
+    def test_rewritten_file_gives_the_new_answer(self, tmp_path, capsys):
+        from linksig.ccomplex import GeneralizedSeifertSystem
+        from linksig.cli import main
+
+        shipped = catalog.load_system("C(4,3,2)")
+        mirror = GeneralizedSeifertSystem(
+            shipped.mu, shipped.rank, {p: -a for p, a in shipped.matrices.items()}
+        )
+        path = self.write(tmp_path / "sys.json", shipped)
+        assert main(["sig", path, *self.OMEGA]) == 0
+        self.write(path, mirror)
+        assert main(["sig", path, *self.OMEGA]) == 0
+        self.write(path, shipped)
+        assert main(["sig", path, *self.OMEGA]) == 0
+        assert capsys.readouterr().out == "sigma=-2 eta=0\nsigma=2 eta=0\nsigma=-2 eta=0\n"
+
+    def test_same_text_at_two_paths_gives_equal_results(self, tmp_path):
+        from linksig.ccomplex import system_to_dict
+
+        system = build_gss(ConwayForm.parse("2,1,4"))
+        first = catalog.resolve_system(self.write(tmp_path / "a.json", system))
+        second = catalog.resolve_system(self.write(tmp_path / "b.json", system))
+        assert system_to_dict(first) == system_to_dict(second) == system_to_dict(system)
+        assert catalog._validated.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("file_route", [True, False])
+    def test_unchanged_text_is_not_parsed_or_validated_again(
+        self, tmp_path, monkeypatch, file_route
+    ):
+        from linksig import ccomplex
+
+        token = "C(4,3,2)"
+        if file_route:
+            token = self.write(tmp_path / "sys.json", catalog.load_system(token))
+        calls = {"system_from_dict": 0, "validate": 0}
+        for name in calls:
+            original = getattr(ccomplex, name)
+
+            def counted(arg, name=name, original=original):
+                calls[name] += 1
+                return original(arg)
+
+            monkeypatch.setattr(ccomplex, name, counted)
+        catalog.resolve_system(token)
+        assert calls == {"system_from_dict": 1, "validate": 1}
+        catalog.resolve_system(token)
+        assert calls == {"system_from_dict": 1, "validate": 1}
+
+    def test_invalid_system_exits_3_on_every_call(self, tmp_path, capsys):
+        from linksig.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"mu": 2, "rank": 2, "matrices": {"++": [[0, 0], [0, -2]]}}),
+            encoding="utf-8",
+        )
+        errors = []
+        for _ in range(3):
+            assert main(["sig", str(path), *self.OMEGA]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert errors == ["invariant violation: missing matrix for canonical pattern '+-'\n"] * 3
+        assert catalog._validated.cache_info().currsize == 0
+
+    def test_crlf_json_error_matches_read_record(self, tmp_path, capsys):
+        from linksig.ccomplex import read_record
+        from linksig.cli import main
+
+        path = tmp_path / "crlf.json"
+        path.write_bytes(b'{\r\n  "mu": 2,\r\n  "rank": 2,\r\n  "matrices": {,}\r\n}\r\n')
+        with pytest.raises(ValueError) as expected:
+            read_record(path)
+        # Text mode turns each \r\n into \n, which moves the reported offset.
+        with pytest.raises(ValueError) as from_bytes:
+            json.loads(path.read_bytes())
+        assert str(from_bytes.value) not in str(expected.value)
+        for _ in range(2):
+            assert main(["sig", str(path), *self.OMEGA]) == 2
+            assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    def test_returned_systems_share_no_writable_state(self, tmp_path):
+        from linksig.ccomplex import system_to_dict
+
+        system = build_gss(ConwayForm.parse("4,3,2"))
+        system.linking = np.array([[0, 1], [1, 0]])
+        system.name = ["C(4,3,2)", "with linking"]
+        path = self.write(tmp_path / "sys.json", system)
+        expected = system_to_dict(system)
+
+        resolved = catalog.resolve_system(path)
+        for array in [*resolved.matrices.values(), resolved.linking]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 5
+        resolved.name.append("changed")
+        resolved.matrices.clear()
+        resolved.linking = None
+        assert system_to_dict(catalog.resolve_system(path)) == expected
+        resolved = catalog.resolve_system(path)
+        resolved.name = "renamed"
+        resolved.matrices = {}
+        assert system_to_dict(catalog.resolve_system(path)) == expected
+
+    def test_no_command_writes_into_a_resolved_system(self, tmp_path, capsys):
+        """The arrays are read-only, so any write from ``src/`` would raise and exit 2."""
+        from linksig import ccomplex
+        from linksig.cli import main
+        from linksig.invariants import signature_nullity, torus_scan
+
+        system = build_gss(ConwayForm.parse("4,3,2"))
+        system.linking = np.array([[0, -1], [-1, 0]])
+        path = self.write(tmp_path / "sys.json", system)
+        out = str(tmp_path / "scan.csv")
+        for argv in (
+            ["sig", path, "--omega", "1/2,1/2"],
+            ["sig", path, *self.OMEGA],
+            ["scan", path, "--res", "7", "--out", out],
+        ):
+            assert main(argv) == 0, capsys.readouterr().err
+        resolved = catalog.resolve_system(path)
+        omega = ccomplex.TorusPoint.of("1/5", "2/7")
+        assert signature_nullity(resolved, omega) == signature_nullity(system, omega)
+        assert np.array_equal(ccomplex.h_at_minus_ones(resolved), ccomplex.h_at_minus_ones(system))
+        assert resolved.total_linking() == -1
+        assert np.array_equal(torus_scan(resolved, 5).sigma, torus_scan(system, 5).sigma)
