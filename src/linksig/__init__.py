@@ -26,7 +26,6 @@ from .ccomplex import (
     canonical_patterns,
     h_at_minus_ones,
     load_system,
-    save_system,
     validate,
 )
 from .hermitian import (
@@ -37,7 +36,6 @@ from .hermitian import (
     integer_symmetric_signature,
 )
 from .invariants import (
-    InvariantSample,
     ScanGrid,
     estimate_beta,
     lt_signature_from_multivariable,
@@ -57,7 +55,6 @@ __all__ = [
     "ConwayForm",
     "DEFAULT_TOL",
     "GeneralizedSeifertSystem",
-    "InvariantSample",
     "ScanGrid",
     "SignPattern",
     "SignatureResult",
@@ -77,7 +74,6 @@ __all__ = [
     "lt_signature_from_multivariable",
     "predicted_splitting",
     "rank_obstruction",
-    "save_system",
     "scan_to_csv",
     "signature_nullity",
     "splitting_bound_lt",

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, pi, sin
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -213,8 +213,9 @@ class GeneralizedSeifertSystem:
     def total_linking(self) -> int:
         if self.linking is None:
             raise ValueError("no linking data on this system")
-        lk = np.asarray(self.linking)
-        return exact_int(sum(lk[i][j] for i in range(self.mu) for j in range(i + 1, self.mu)))
+        # Python ints: a sum of int64 entries can wrap.
+        lk = exact_int_rows(self.linking)
+        return sum(lk[i][j] for i in range(self.mu) for j in range(i + 1, self.mu))
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -340,22 +341,6 @@ def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
     return (2**gss.mu) * total
 
 
-def system_to_dict(gss: GeneralizedSeifertSystem) -> dict:
-    doc = {
-        "mu": gss.mu,
-        "rank": gss.rank,
-        "matrices": {
-            pattern_to_string(p): np.asarray(m).tolist()
-            for p, m in sorted(gss.matrices.items(), reverse=True)
-        },
-    }
-    if gss.linking is not None:
-        doc["linking"] = np.asarray(gss.linking).tolist()
-    if gss.name is not None:
-        doc["name"] = gss.name
-    return doc
-
-
 def record_field(record: Mapping, key: str, convert=exact_int):
     """``convert(record[key])``; ``ValueError`` naming the field if missing or malformed."""
     try:
@@ -422,9 +407,3 @@ def read_record(path) -> dict:
 
 def load_system(path) -> GeneralizedSeifertSystem:
     return system_from_dict(read_record(path))
-
-
-def save_system(gss: GeneralizedSeifertSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(system_to_dict(gss), handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -53,8 +53,8 @@ def inertia_stack(stack):
     from one ``eigvalsh`` call.  Eigenvalues within a matrix's threshold
     ``DEFAULT_TOL * max(1, max |entry|)`` count as zero.
 
-    Raises ``ValueError`` for a non-finite entry or a matrix that violates
-    Hermitian symmetry beyond that threshold.
+    Raises ``ValueError`` for a non-finite entry, a matrix that violates
+    Hermitian symmetry beyond that threshold, or a NaN eigenvalue.
     """
     scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(scale).all():
@@ -63,8 +63,11 @@ def inertia_stack(stack):
     threshold = DEFAULT_TOL * np.maximum(1.0, scale)
     if (np.abs(stack - adjoint).max(axis=(-2, -1), initial=0.0) > threshold).any():
         raise ValueError("matrix is not Hermitian within tolerance")
-    # Symmetrize to kill rounding asymmetry before the eigensolver.
-    eigenvalues = np.linalg.eigvalsh((stack + adjoint) / 2.0)
+    # Symmetrize to kill rounding asymmetry before the eigensolver; halving
+    # before adding keeps large finite entries from overflowing the sum.
+    eigenvalues = np.linalg.eigvalsh(0.5 * stack + 0.5 * adjoint)
+    if np.isnan(eigenvalues).any():
+        raise ValueError("eigenvalue computation returned NaN")
     threshold = threshold[:, None]
     positives = (eigenvalues > threshold).sum(axis=1)
     negatives = (eigenvalues < -threshold).sum(axis=1)

@@ -49,37 +49,18 @@ from .hermitian import hermitian_signature, inertia_stack, integer_symmetric_sig
 CHUNK_BYTES = 256 * 1024
 
 
-@dataclass(frozen=True)
-class InvariantSample:
-    """Invariants of one torus point.
-
-    ``det_sign`` is the sign of the real determinant of H, (-1)^negatives,
-    forced to 0 when the sample is flagged as a potential zero of the
-    torsion polynomial (positive nullity).
-    """
-
-    omega: TorusPoint
-    sigma: int
-    eta: int
-    abs_det: float
-    det_sign: int
-
-    @property
-    def near_zero(self) -> bool:
-        return self.det_sign == 0
-
-
 def _axis(resolution: int) -> list[Fraction]:
     return [Fraction(k, resolution + 1) for k in range(1, resolution + 1)]
 
 
 @dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """Row-major grid of samples at fractions k/(resolution+1), k = 1..R.
+    """Invariants of a scan, one entry per sample.
 
     ``sigma``, ``eta``, ``abs_det`` and ``det_sign`` are arrays of R^mu
-    entries, one per sample, with the meaning of the
-    :class:`InvariantSample` fields.
+    entries in row-major order over the fractions k/(resolution+1),
+    k = 1..R: the last coordinate varies fastest.  ``det_sign`` is the sign
+    of the real determinant of H, (-1)^negatives, forced to 0 when eta > 0.
     """
 
     resolution: int
@@ -88,16 +69,6 @@ class ScanGrid:
     eta: np.ndarray
     abs_det: np.ndarray
     det_sign: np.ndarray
-
-    @property
-    def samples(self) -> tuple[InvariantSample, ...]:
-        """The samples as :class:`InvariantSample` objects, built on each access."""
-        points = itertools.product(_axis(self.resolution), repeat=self.mu)
-        columns = (self.sigma, self.eta, self.abs_det, self.det_sign)
-        return tuple(
-            InvariantSample(TorusPoint(point), *values)
-            for point, *values in zip(points, *(c.tolist() for c in columns))
-        )
 
     @property
     def min_eta(self) -> int:

@@ -1,8 +1,16 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from linksig import catalog
-from linksig.ccomplex import GeneralizedSeifertSystem, canonical_patterns
+from linksig.ccomplex import (
+    GeneralizedSeifertSystem,
+    TorusPoint,
+    canonical_patterns,
+    pattern_to_string,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -38,11 +46,32 @@ def random_system(rng: np.random.Generator, mu: int, rank: int, bound: int = 5):
 
 
 def random_torus_fractions(rng: np.random.Generator, mu: int):
-    from fractions import Fraction
-
     out = []
     for _ in range(mu):
         den = int(rng.integers(2, 40))
         num = int(rng.integers(1, den))
         out.append(Fraction(num, den))
     return tuple(out)
+
+
+def grid_points(grid) -> list[TorusPoint]:
+    """The points of a scan grid, in the row-major order of its arrays."""
+    axis = [Fraction(k, grid.resolution + 1) for k in range(1, grid.resolution + 1)]
+    return [TorusPoint(point) for point in itertools.product(axis, repeat=grid.mu)]
+
+
+def system_document(gss: GeneralizedSeifertSystem) -> dict:
+    """The JSON document of a system, the format that ``load_system`` reads."""
+    doc = {
+        "mu": gss.mu,
+        "rank": gss.rank,
+        "matrices": {
+            pattern_to_string(p): np.asarray(m).tolist()
+            for p, m in sorted(gss.matrices.items(), reverse=True)
+        },
+    }
+    if gss.linking is not None:
+        doc["linking"] = np.asarray(gss.linking).tolist()
+    if gss.name is not None:
+        doc["name"] = gss.name
+    return doc

@@ -9,6 +9,8 @@ from linksig.bounds import evaluate_fixture
 from linksig.ccomplex import validate
 from linksig.twobridge import ConwayForm, build_gss
 
+from conftest import system_document
+
 EXPECTED_BOUNDS = {
     "L9a29": 3,
     "L9a24": 3,
@@ -132,10 +134,9 @@ class TestResolveSystem:
         assert system.rank == 1
 
     def test_resolves_file(self, tmp_path):
-        from linksig.ccomplex import save_system
-
         path = tmp_path / "sys.json"
-        save_system(build_gss(ConwayForm.parse("6")), path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(system_document(build_gss(ConwayForm.parse("6"))), handle)
         assert catalog.resolve_system(str(path)).rank == 2
 
     def test_unknown_token(self):
@@ -156,9 +157,8 @@ class TestSystemCache:
 
     @staticmethod
     def write(path, system):
-        from linksig.ccomplex import save_system
-
-        save_system(system, path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(system_document(system), handle)
         return str(path)
 
     def test_rewritten_file_gives_the_new_answer(self, tmp_path, capsys):
@@ -178,12 +178,10 @@ class TestSystemCache:
         assert capsys.readouterr().out == "sigma=-2 eta=0\nsigma=2 eta=0\nsigma=-2 eta=0\n"
 
     def test_same_text_at_two_paths_gives_equal_results(self, tmp_path):
-        from linksig.ccomplex import system_to_dict
-
         system = build_gss(ConwayForm.parse("2,1,4"))
         first = catalog.resolve_system(self.write(tmp_path / "a.json", system))
         second = catalog.resolve_system(self.write(tmp_path / "b.json", system))
-        assert system_to_dict(first) == system_to_dict(second) == system_to_dict(system)
+        assert system_document(first) == system_document(second) == system_document(system)
         assert catalog._validated.cache_info().currsize == 1
 
     @pytest.mark.parametrize("file_route", [True, False])
@@ -243,13 +241,11 @@ class TestSystemCache:
             assert capsys.readouterr().err == f"error: {expected.value}\n"
 
     def test_returned_systems_share_no_writable_state(self, tmp_path):
-        from linksig.ccomplex import system_to_dict
-
         system = build_gss(ConwayForm.parse("4,3,2"))
         system.linking = np.array([[0, 1], [1, 0]])
         system.name = ["C(4,3,2)", "with linking"]
         path = self.write(tmp_path / "sys.json", system)
-        expected = system_to_dict(system)
+        expected = system_document(system)
 
         resolved = catalog.resolve_system(path)
         for array in [*resolved.matrices.values(), resolved.linking]:
@@ -259,11 +255,11 @@ class TestSystemCache:
         resolved.name.append("changed")
         resolved.matrices.clear()
         resolved.linking = None
-        assert system_to_dict(catalog.resolve_system(path)) == expected
+        assert system_document(catalog.resolve_system(path)) == expected
         resolved = catalog.resolve_system(path)
         resolved.name = "renamed"
         resolved.matrices = {}
-        assert system_to_dict(catalog.resolve_system(path)) == expected
+        assert system_document(catalog.resolve_system(path)) == expected
 
     def test_no_command_writes_into_a_resolved_system(self, tmp_path, capsys):
         """The arrays are read-only, so any write from ``src/`` would raise and exit 2."""

@@ -14,14 +14,12 @@ from linksig.ccomplex import (
     load_system,
     pattern_from_string,
     pattern_to_string,
-    save_system,
     system_from_dict,
-    system_to_dict,
     validate,
 )
 from linksig.hermitian import hermitian_signature
 
-from conftest import random_system, random_torus_fractions
+from conftest import random_system, random_torus_fractions, system_document
 
 
 class TestSignPatterns:
@@ -92,6 +90,17 @@ class TestValidate:
         problems = validate(bad)
         assert any("canonical" in p for p in problems)
         assert any("missing" in p for p in problems)
+
+    def test_total_linking_does_not_wrap(self):
+        big = 2**62
+        system = GeneralizedSeifertSystem(
+            mu=3,
+            rank=0,
+            matrices={p: [] for p in canonical_patterns(3)},
+            linking=[[0, big, big], [big, 0, big], [big, big, 0]],
+        )
+        assert validate(system) == []
+        assert system.total_linking() == 3 * big
 
     def test_asymmetric_linking_flagged(self):
         bad = GeneralizedSeifertSystem(
@@ -180,9 +189,10 @@ class TestJsonFormat:
         assert system.total_linking() == 1
 
         path = tmp_path / "example.json"
-        save_system(system, path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(system_document(system), handle)
         reloaded = load_system(path)
-        assert system_to_dict(reloaded) == system_to_dict(system)
+        assert system_document(reloaded) == system_document(system) == doc
 
     def test_empty_rank_zero_matrices(self):
         system = system_from_dict({"mu": 2, "rank": 0, "matrices": {"++": [], "+-": []}})

@@ -2,6 +2,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from linksig import cli
@@ -28,6 +29,20 @@ def write_zero_system(tmp_path, mu=2, rank=3):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def write_large_entry_system(tmp_path):
+    """A mu = 1 system whose H is positive definite at every point, with entries
+    so large that H + H^H overflows although H is finite."""
+    v = int(4e307)
+    path = tmp_path / "large.json"
+    doc = {"mu": 1, "rank": 2, "matrices": {"+": [[v, v], [0, v]]}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+# |det H| itself overflows on these systems; the scan writes inf for it.
+DET_OVERFLOW = "ignore:overflow encountered in reduce:RuntimeWarning"
 
 
 # The values of a mu = 2 link at a point with one coordinate too many.
@@ -152,6 +167,16 @@ class TestSig:
             assert (code, out) == (2, "")
             assert err.startswith("error: matrix entries beyond floating-point range")
 
+    @pytest.mark.filterwarnings(DET_OVERFLOW)
+    def test_large_finite_entries_keep_their_inertia(self, capsys, tmp_path):
+        path = write_large_entry_system(tmp_path)
+        assert run(capsys, "sig", str(path), "--omega", "1/3") == (0, "sigma=2 eta=0\n", "")
+
+    def test_nan_eigenvalue_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+        code, out, err = run(capsys, "sig", "C(4,3,2)", "--omega", "1/3,1/3")
+        assert (code, out, err) == (2, "", "error: eigenvalue computation returned NaN\n")
+
 
 class TestScan:
     def test_worked_example_grid(self, capsys, tmp_path):
@@ -190,6 +215,15 @@ class TestScan:
         rows = out_path.read_text().strip().split("\n")[1:]
         assert len(rows) == 4
         assert all(row.split(",")[3] == "2" for row in rows)
+
+    @pytest.mark.filterwarnings(DET_OVERFLOW)
+    def test_large_finite_entries_keep_their_inertia(self, capsys, tmp_path):
+        path = write_large_entry_system(tmp_path)
+        out_path = tmp_path / "large.csv"
+        code, out, _ = run(capsys, "scan", str(path), "--res", "4", "--out", str(out_path))
+        assert (code, out) == (0, "rows=4 min_eta=0 near_zero_det=0\n")
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert [row[1:3] for row in rows] == [["2", "0"]] * 4
 
     def test_four_colors_rejected(self, capsys, tmp_path):
         path = write_zero_system(tmp_path, mu=4, rank=1)

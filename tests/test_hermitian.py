@@ -183,6 +183,11 @@ class TestHermitianSignature:
         with pytest.raises(ValueError, match="non-finite"):
             hermitian_signature([[entry]])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    def test_large_finite_entries(self):
+        # Each entry is finite, but twice it is not: symmetrizing must not overflow.
+        assert hermitian_signature(np.diag([1.5e308, -1.5e308])) == SignatureResult(0, 0, 1, 1)
+
     def test_near_hermitian_within_tol(self):
         m = np.array([[1.0, 1.0 + 1e-13], [1.0, 1.0]])
         hermitian_signature(m)  # must not raise

@@ -27,7 +27,13 @@ from linksig.invariants import (
     write_scan_csv,
 )
 
-from conftest import random_system, random_torus_fractions
+from conftest import grid_points, random_system, random_torus_fractions
+
+
+def scan_rows(grid):
+    """(point, sigma, eta, |det|, det sign) per sample, read from the grid's arrays."""
+    columns = (grid.sigma, grid.eta, grid.abs_det, grid.det_sign)
+    return zip(grid_points(grid), *(c.tolist() for c in columns))
 
 
 def zero_system(mu=2, rank=3):
@@ -116,23 +122,27 @@ class TestLevineTristramRecovery:
 class TestTorusScan:
     def test_single_point_grid(self, example_system):
         grid = torus_scan(example_system, 1)
-        assert len(grid.samples) == 1
-        sample = grid.samples[0]
-        assert sample.omega.fractions == (Fraction(1, 2), Fraction(1, 2))
-        assert (sample.sigma, sample.eta) == (-2, 0)
+        assert grid.sigma.size == 1
+        assert grid_points(grid) == [TorusPoint.minus_ones(2)]
+        assert (grid.sigma.tolist(), grid.eta.tolist()) == ([-2], [0])
 
     def test_zero_system_grid(self):
         grid = torus_scan(zero_system(2, 2), 3)
-        assert len(grid.samples) == 9
-        assert all((s.sigma, s.eta) == (0, 2) for s in grid.samples)
+        assert grid.sigma.size == 9
+        assert (grid.sigma.tolist(), grid.eta.tolist()) == ([0] * 9, [2] * 9)
         assert grid.min_eta == 2
 
-    def test_row_major_order(self, example_system):
-        grid = torus_scan(example_system, 2)
-        fractions = [s.omega.fractions for s in grid.samples]
-        third = Fraction(1, 3)
-        expected = list(itertools.product([third, 2 * third], repeat=2))
-        assert fractions == expected
+    def test_row_major_order(self):
+        system = random_system(np.random.default_rng(3), 3, 4)
+        grid = torus_scan(system, 3)
+        sigma = grid.sigma.reshape(3, 3, 3)
+        # No permutation of the axes maps this grid to itself, so the
+        # pointwise comparison below pins the order of the axes.
+        for axes in itertools.permutations(range(3)):
+            if axes != (0, 1, 2):
+                assert not np.array_equal(sigma, sigma.transpose(axes))
+        for point, sigma, eta, _, _ in scan_rows(grid):
+            assert (sigma, eta) == signature_nullity(system, point)
 
     def test_bad_resolution(self, example_system):
         with pytest.raises(ValueError, match="resolution"):
@@ -140,24 +150,22 @@ class TestTorusScan:
 
     def test_against_independent_oracle(self, example_system):
         grid = torus_scan(example_system, 7)
-        assert len(grid.samples) == 49
-        for sample in grid.samples:
-            sigma, eta, absdet, _ = oracle_sample(example_system, sample.omega.fractions)
-            assert (sample.sigma, sample.eta) == (sigma, eta)
-            assert sample.abs_det == pytest.approx(absdet, rel=1e-9, abs=1e-12)
+        assert grid.sigma.size == 49
+        for point, sigma, eta, abs_det, _ in scan_rows(grid):
+            expected_sigma, expected_eta, absdet, _ = oracle_sample(example_system, point.fractions)
+            assert (sigma, eta) == (expected_sigma, expected_eta)
+            assert abs_det == pytest.approx(absdet, rel=1e-9, abs=1e-12)
 
     def test_sigma_changes_only_at_det_zero_crossings(self, example_system):
         grid = torus_scan(example_system, 31)
         assert undetected_sigma_jumps(grid) == []
         assert grid.min_eta == 0
         # the signature genuinely varies on this grid, so the check bites
-        assert len({s.sigma for s in grid.samples}) > 1
+        assert len(set(grid.sigma.tolist())) > 1
 
     def test_flagged_samples_have_small_det(self, example_system):
         grid = torus_scan(example_system, 31)
-        for sample in grid.samples:
-            if sample.eta > 0:
-                assert sample.near_zero
+        assert (grid.det_sign[grid.eta > 0] == 0).all()
 
     @pytest.mark.parametrize(
         "resolution, mu, sigma, det_sign, expected",
@@ -187,16 +195,16 @@ class TestTorusScan:
     def test_kernel_matches_pointwise_and_oracle(self, mu, rank, resolution, seed):
         system = random_system(np.random.default_rng(seed), mu, rank)
         grid = torus_scan(system, resolution)
-        for sample in grid.samples:
-            sigma, eta, absdet, sign = oracle_sample(system, sample.omega.fractions)
-            assert (sample.sigma, sample.eta) == signature_nullity(system, sample.omega)
-            assert (sample.sigma, sample.eta) == (sigma, eta)
+        for point, sigma, eta, abs_det, det_sign in scan_rows(grid):
+            oracle = oracle_sample(system, point.fractions)
+            assert (sigma, eta) == signature_nullity(system, point)
+            assert (sigma, eta) == oracle[:2]
             # |det| of a singular H is rounding noise; compare it where eta = 0.
-            if sample.eta == 0:
-                assert sample.abs_det == pytest.approx(absdet, rel=1e-9)
-                assert sample.det_sign == sign
+            if eta == 0:
+                assert abs_det == pytest.approx(oracle[2], rel=1e-9)
+                assert det_sign == oracle[3]
             else:
-                assert sample.det_sign == 0
+                assert det_sign == 0
 
     def test_multi_chunk_scan_matches_pointwise(self, monkeypatch):
         system = random_system(np.random.default_rng(40), 2, 40)
@@ -208,10 +216,10 @@ class TestTorusScan:
         grid = torus_scan(system, 7)
         monkeypatch.undo()
         assert len(calls) == -(-25 // per_chunk)  # ceil(7^2 / 2) points classified
-        for sample in grid.samples:
-            assert (sample.sigma, sample.eta) == signature_nullity(system, sample.omega)
-            eigenvalues = np.linalg.eigvalsh(assemble_h(system, sample.omega))
-            assert sample.abs_det == pytest.approx(np.prod(np.abs(eigenvalues)), rel=1e-9)
+        for point, sigma, eta, abs_det, _ in scan_rows(grid):
+            assert (sigma, eta) == signature_nullity(system, point)
+            eigenvalues = np.linalg.eigvalsh(assemble_h(system, point))
+            assert abs_det == pytest.approx(np.prod(np.abs(eigenvalues)), rel=1e-9)
 
     def test_scan_classifies_one_point_per_conjugate_pair(self, monkeypatch, example_system):
         eigvalsh = np.linalg.eigvalsh
@@ -240,9 +248,9 @@ class TestTorusScan:
         assert h_at_minus_ones(system).tolist() == [[2**64]]
         assert signature_nullity(system, TorusPoint.minus_ones(mu)) == (1, 0)
         grid = torus_scan(system, 3)
-        middle = grid.samples[(3**mu) // 2]
-        assert middle.omega.is_minus_ones()
-        assert (middle.sigma, middle.eta, middle.det_sign) == (1, 0, 1)
+        middle = (3**mu) // 2
+        assert grid_points(grid)[middle].is_minus_ones()
+        assert (grid.sigma[middle], grid.eta[middle], grid.det_sign[middle]) == (1, 0, 1)
 
     def test_exact_route_where_the_float_zero_test_is_wrong(self):
         # H(-1) = [[4, 802], [802, 160800]] has det -4: one eigenvalue is about
@@ -252,9 +260,9 @@ class TestTorusScan:
         floating = hermitian_signature(assemble_h(system, TorusPoint.minus_ones(1)))
         assert (floating.signature, floating.nullity) == (1, 1)
         assert signature_nullity(system, TorusPoint.minus_ones(1)) == (0, 0)
-        middle = torus_scan(system, 3).samples[1]
-        assert middle.omega.is_minus_ones()
-        assert (middle.sigma, middle.eta, middle.det_sign) == (0, 0, -1)
+        grid = torus_scan(system, 3)
+        assert grid_points(grid)[1].is_minus_ones()
+        assert (grid.sigma[1], grid.eta[1], grid.det_sign[1]) == (0, 0, -1)
 
 
 class TestEstimateBeta:
