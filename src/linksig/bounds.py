@@ -29,46 +29,41 @@ from .hermitian import exact_int, exact_int_rows
 
 @dataclass(frozen=True)
 class ComponentInvariants:
-    """Per-color Levine-Tristram values (sigma_i, eta_i) at the chosen points.
+    """The number of colors and the totals of the per-color Levine-Tristram
+    values (sigma_i, eta_i) at the chosen points: the formulas read only the sums.
 
     Values are read by :func:`exact_int`.  An unknotted component contributes
     (0, 0) at every point, so :meth:`unknots` is safe wherever the link is evaluated.
     """
 
-    sigmas: tuple[int, ...]
-    etas: tuple[int, ...]
+    mu: int
+    sigma_total: int
+    eta_total: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sigmas", tuple(exact_int(s) for s in self.sigmas))
-        object.__setattr__(self, "etas", tuple(exact_int(e) for e in self.etas))
-        if len(self.sigmas) != len(self.etas):
-            raise ValueError("sigma and eta lists must have equal length")
-        if any(e < 0 for e in self.etas):
+        for name in ("mu", "sigma_total", "eta_total"):
+            object.__setattr__(self, name, exact_int(getattr(self, name)))
+        if self.mu < 0:
+            raise ValueError("the number of components must be non-negative")
+        if self.eta_total < 0:
             raise ValueError("component nullities must be non-negative")
 
     @classmethod
     def unknots(cls, mu: int) -> "ComponentInvariants":
-        return cls((0,) * mu, (0,) * mu)
+        return cls(mu, 0, 0)
 
     @classmethod
     def of(cls, *pairs) -> "ComponentInvariants":
-        return cls(tuple(s for s, _ in pairs), tuple(e for _, e in pairs))
+        """The totals of per-color pairs (sigma_i, eta_i), each eta_i non-negative."""
+        sigmas = [exact_int(s) for s, _ in pairs]
+        etas = [exact_int(e) for _, e in pairs]
+        if any(e < 0 for e in etas):
+            raise ValueError("component nullities must be non-negative")
+        return cls(len(pairs), sum(sigmas), sum(etas))
 
     @classmethod
     def from_records(cls, records) -> "ComponentInvariants":
         return cls.of(*[(record_field(r, "sigma"), record_field(r, "eta")) for r in records])
-
-    @property
-    def mu(self) -> int:
-        return len(self.sigmas)
-
-    @property
-    def sigma_total(self) -> int:
-        return sum(self.sigmas)
-
-    @property
-    def eta_total(self) -> int:
-        return sum(self.etas)
 
 
 @dataclass(frozen=True)
@@ -281,7 +276,7 @@ def rank_obstruction(
                 f"sample at omega={omega} has eta={eta_l}, expected beta_est={beta_est}; "
                 "only points where the nullity attains the minimum qualify"
             )
-        if sigma_l != comps.sigma_total or any(e != 0 for e in comps.etas):
+        if sigma_l != comps.sigma_total or comps.eta_total:
             violated = True
 
     value = max(base, 0)
@@ -321,8 +316,11 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
     )
 
 
-def _point_record(record) -> tuple:
-    """(omega, sigma_L, eta_L, components) of a fixture or of a rank sample."""
+def _point_record(record, mu) -> tuple:
+    """(omega, sigma_L, eta_L, components) of a fixture or of a rank sample.
+
+    A record with no ``components`` field describes ``mu`` unknots.
+    """
     if not isinstance(record, Mapping):
         raise ValueError(f"malformed record: {record!r} is not an object")
     omega = record_field(record, "omega", list) if "omega" in record else None
@@ -330,7 +328,9 @@ def _point_record(record) -> tuple:
         None if omega is None else TorusPoint.from_strings(omega),
         record_field(record, "sigma_L"),
         record_field(record, "eta_L"),
-        ComponentInvariants.from_records(record_field(record, "components", list)),
+        ComponentInvariants.from_records(record_field(record, "components", list))
+        if "components" in record
+        else ComponentInvariants.unknots(_positive_mu(mu)),
     )
 
 
@@ -345,12 +345,12 @@ def evaluate_fixture(record: Mapping) -> BoundReport:
     total = None if record.get("total_lk") is None else record_field(record, "total_lk")
 
     if kind in ("lt", "multi"):
-        omega, sigma, eta, comps = _point_record(record)
+        omega, sigma, eta, comps = _point_record(record, mu)
         if kind == "lt":
             total = record_field(record, "total_lk")
             return splitting_bound_lt(mu, sigma, eta, total, comps, omega)
         return splitting_bound_multivariable(mu, sigma, eta, comps, omega, total)
     if kind == "rank":
-        samples = [_point_record(sample) for sample in record_field(record, "samples", list)]
+        samples = [_point_record(sample, mu) for sample in record_field(record, "samples", list)]
         return rank_obstruction(mu, record_field(record, "beta_est"), samples, total)
     raise ValueError(f"unknown fixture kind {kind!r}")

@@ -50,7 +50,10 @@ def _texts(kind: str) -> dict[str, str]:
     for entry in sorted(shipped.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
             text = entry.read_text(encoding="utf-8")
-            texts[json.loads(text).get("name", entry.name)] = text
+            try:
+                texts[ccomplex.parse_record(text).get("name", entry.name)] = text
+            except ccomplex.RecordError as exc:
+                raise CatalogError(f"{kind}/{entry.name}: {exc}") from exc
     return texts
 
 
@@ -145,7 +148,8 @@ def resolve_fixture(token: str) -> dict:
 
 
 def self_check() -> None:
-    """Re-evaluate every shipped entry; raise CatalogError on any mismatch."""
+    """Re-evaluate every shipped entry; raise CatalogError on any mismatch or
+    on a shipped record that cannot be read or built."""
     problems = []
     for name, record in fixture_records().items():
         try:
@@ -155,13 +159,13 @@ def self_check() -> None:
             problems.append(f"fixture {name}: {exc}")
             continue
         if report.value != expected:
-            problems.append(
-                f"fixture {name}: evaluates to {report.value}, expected {expected}"
-            )
+            problems.append(f"fixture {name}: evaluates to {report.value}, expected {expected}")
     for name, record in system_records().items():
-        system = ccomplex.system_from_dict(record)
-        for violation in ccomplex.validate(system):
-            problems.append(f"system {name}: {violation}")
+        try:
+            violations = ccomplex.validate(ccomplex.system_from_dict(record))
+        except ValueError as exc:
+            violations = [str(exc)]
+        problems.extend(f"system {name}: {violation}" for violation in violations)
     if problems:
         raise CatalogError("; ".join(problems))
 

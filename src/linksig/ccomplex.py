@@ -150,24 +150,17 @@ class TorusPoint:
 
 
 def _as_array(value) -> np.ndarray:
-    """``np.asarray(value)``, kept as Python objects when a nested list holds a
-    boolean: numpy would turn ``True`` among numbers into 1, which
-    :func:`validate` must see and reject.
-
-    Rows of plain ints go straight to int64, which skips numpy's dtype
-    discovery; ints beyond int64 and ragged rows take ``np.asarray``.
+    """``np.asarray(value)``, kept as Python objects when numpy refuses ragged
+    rows, or when a nested list holds a boolean: numpy would turn ``True``
+    among numbers into 1.  Either way :func:`validate` sees and reports it.
     """
-    types = set()
-    if isinstance(value, list) and all(isinstance(row, (list, tuple)) for row in value):
-        types = set(map(type, itertools.chain.from_iterable(value)))
-    if types == {int}:
-        try:
-            return np.array(value, dtype=np.int64)
-        except (OverflowError, ValueError):
-            pass
-    array = np.asarray(value)
-    if array.ndim == 2 and bool in types:
-        return np.asarray(value, dtype=object)
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        return np.array(value, dtype=object)
+    if array.ndim == 2 and isinstance(value, list):
+        if any(isinstance(x, bool) for row in value for x in row):
+            return np.asarray(value, dtype=object)
     return array
 
 

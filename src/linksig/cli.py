@@ -114,15 +114,13 @@ def cmd_bound(args) -> int:
                              f"{record.get('kind')!r}, expected {kind!r}")
     elif kind == "rank":
         raise ValueError("the rank obstruction is evaluated from a fixture file")
-    else:  # the fixture record that the inline flags describe
-        try:  # the unknot default lists --mu components
-            items = args.component or ["0,0"] * args.mu
-        except (OverflowError, MemoryError):
-            raise ValueError(f"--mu {args.mu} is too large to list its components") from None
-        comps = [_ints("--component", c, "--component expects 'sigma,eta'") for c in items]
+    else:  # the fixture record that the inline flags describe; no components means unknots
         record = {"kind": kind, "mu": args.mu, "sigma_L": args.sigma_l, "eta_L": args.eta_l,
-                  "total_lk": args.total_lk,
-                  "components": [{"sigma": s, "eta": e} for s, e in comps]}
+                  "total_lk": args.total_lk}
+        if args.component:
+            comps = [_ints("--component", c, "--component expects 'sigma,eta'")
+                     for c in args.component]
+            record["components"] = [{"sigma": s, "eta": e} for s, e in comps]
         if args.omega:
             record["omega"] = args.omega.split(",")
     name = record.get("name")

@@ -71,7 +71,8 @@ def inertia_stack(stack):
     threshold = threshold[:, None]
     positives = (eigenvalues > threshold).sum(axis=1)
     negatives = (eigenvalues < -threshold).sum(axis=1)
-    return positives, negatives, np.abs(eigenvalues).prod(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing |det| is reported as inf
+        return positives, negatives, np.abs(eigenvalues).prod(axis=1)
 
 
 def hermitian_signature(matrix) -> SignatureResult:

@@ -34,7 +34,7 @@ class TestComponentInvariants:
         comps = ComponentInvariants.from_records(
             [{"sigma": 2, "eta": 0}, {"sigma": -1, "eta": 1}]
         )
-        assert comps.sigmas == (2, -1) and comps.etas == (0, 1)
+        assert (comps.mu, comps.sigma_total, comps.eta_total) == (2, 1, 1)
 
 
 class TestSplittingBoundMultivariable:
@@ -55,12 +55,10 @@ class TestSplittingBoundMultivariable:
         assert report.value == abs(5 - 2) + abs(1 - 0 + 1)
 
     def test_color_permutation_invariance(self):
-        sigmas, etas = (2, -1, 0), (0, 1, 2)
+        pairs = ((2, 0), (-1, 1), (0, 2))
         # |-1 - 1| + |3 - 1 - 1 + 3| = 6, independent of the color order
-        for perm in itertools.permutations(range(3)):
-            comps = ComponentInvariants(
-                tuple(sigmas[i] for i in perm), tuple(etas[i] for i in perm)
-            )
+        for perm in itertools.permutations(pairs):
+            comps = ComponentInvariants.of(*perm)
             assert splitting_bound_multivariable(3, -1, 1, comps).value == 6
 
     def test_orientation_reversal_invariance(self, example_system):
@@ -269,7 +267,7 @@ class TestUnlinkingBound:
         pytest.param(lambda: rank_obstruction(2.5, 0, []), id="rank-mu"),
         pytest.param(lambda: rank_obstruction(True, 0, []), id="rank-mu-bool"),
         pytest.param(lambda: linking_number_bound([1], mu=2.5), id="linking-mu"),
-        pytest.param(lambda: ComponentInvariants((2.5,), (0,)), id="components-direct"),
+        pytest.param(lambda: ComponentInvariants(2, 2.5, 0), id="components-direct"),
         pytest.param(lambda: ConwayForm((4.7, 3, 2.9)), id="conway-float"),
         pytest.param(lambda: ConwayForm((4, True, 2)), id="conway-bool"),
     ],

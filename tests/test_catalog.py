@@ -111,6 +111,43 @@ class TestCheckShipped:
             )
         assert catalog.check_shipped.cache_info().currsize == 0
 
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"mu": None}, "malformed record: missing field 'mu'"),
+            ({"matrices": {"+x": [[0]]}}, "invalid sign character 'x' in pattern '+x'"),
+            ({"matrices": {"++": [[0, 0], [0]], "+-": [[-1, 1], [0, -1]]}},
+             "matrix for pattern '++' has shape (2,), expected (2, 2)"),
+        ],
+        ids=["missing-mu", "bad-pattern", "ragged"],
+    )
+    def test_malformed_shipped_system_exits_3(self, monkeypatch, capsys, change, problem):
+        from linksig.cli import main
+
+        record = {**catalog.system_records()["C(4,3,2)"], **change}
+        record = {key: value for key, value in record.items() if value is not None}
+        monkeypatch.setattr(catalog, "system_records", lambda: {"C(4,3,2)": record})
+        assert main(self.ARGV) == 3
+        assert capsys.readouterr() == (
+            "", f"catalog self-check failed: system C(4,3,2): {problem}\n"
+        )
+
+    def test_shipped_file_that_is_not_an_object_exits_3(self, monkeypatch, capsys, tmp_path):
+        from linksig.cli import main
+
+        for kind in ("fixtures", "systems"):
+            (tmp_path / "data" / kind).mkdir(parents=True)
+        (tmp_path / "data" / "fixtures" / "L9a29.json").write_text("[1, 2]", encoding="utf-8")
+        monkeypatch.setattr(catalog.resources, "files", lambda package: tmp_path)
+        catalog._texts.cache_clear()
+        try:
+            assert main(self.ARGV) == 3
+        finally:
+            catalog._texts.cache_clear()
+        assert capsys.readouterr() == (
+            "", "catalog self-check failed: fixtures/L9a29.json: record must be a JSON object\n"
+        )
+
 
 class TestShippedSystems:
     def test_example_system_valid(self):

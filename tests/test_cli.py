@@ -1,11 +1,12 @@
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from linksig import cli
+from linksig import catalog, cli
 from linksig.cli import build_parser, main
 
 
@@ -39,10 +40,6 @@ def write_large_entry_system(tmp_path):
     doc = {"mu": 1, "rank": 2, "matrices": {"+": [[v, v], [0, v]]}}
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
-
-
-# |det H| itself overflows on these systems; the scan writes inf for it.
-DET_OVERFLOW = "ignore:overflow encountered in reduce:RuntimeWarning"
 
 
 # The values of a mu = 2 link at a point with one coordinate too many.
@@ -135,6 +132,19 @@ class TestSig:
             assert out == ""
             assert "linking matrix has non-integer entries" in err
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [("matrices", {"+": [[1, 0], [0]]}, "matrix for pattern '+' has shape (2,), expected (2, 2)"),
+         ("linking", [[0], [0, 0]], "linking matrix has shape (2,), expected (1, 1)")],
+        ids=["matrices", "linking"],
+    )
+    def test_ragged_rows_exit_3_naming_the_shape(self, capsys, tmp_path, field, value, problem):
+        doc = {"mu": 1, "rank": 2, "matrices": {"+": [[1, 0], [0, 1]]}, field: value}
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "sig", str(path), "--omega", "1/2")
+        assert (code, out, err) == (3, "", f"invariant violation: {problem}\n")
+
     def test_unparseable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         cases = [(b"{", "invalid JSON"), (b"\xff{}", "invalid JSON"),
@@ -167,7 +177,6 @@ class TestSig:
             assert (code, out) == (2, "")
             assert err.startswith("error: matrix entries beyond floating-point range")
 
-    @pytest.mark.filterwarnings(DET_OVERFLOW)
     def test_large_finite_entries_keep_their_inertia(self, capsys, tmp_path):
         path = write_large_entry_system(tmp_path)
         assert run(capsys, "sig", str(path), "--omega", "1/3") == (0, "sigma=2 eta=0\n", "")
@@ -216,7 +225,6 @@ class TestScan:
         assert len(rows) == 4
         assert all(row.split(",")[3] == "2" for row in rows)
 
-    @pytest.mark.filterwarnings(DET_OVERFLOW)
     def test_large_finite_entries_keep_their_inertia(self, capsys, tmp_path):
         path = write_large_entry_system(tmp_path)
         out_path = tmp_path / "large.csv"
@@ -478,15 +486,48 @@ class TestBound:
         code, _, err = run(capsys, "bound", "rank")
         assert code == 2
 
-    @pytest.mark.parametrize("formula", ["split-lt", "split-multi"])
-    def test_oversize_inline_mu_exits_2(self, capsys, formula):
-        code, out, err = run(
-            capsys, "bound", formula, "--mu", "100000000000000000000000",
-            "--sigma-l", "0", "--eta-l", "0", "--total-lk", "1",
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "--mu" in err
+    @pytest.mark.parametrize(
+        "formula, value",
+        [("split-lt", "100000000000000000000000 total_lk=1"),
+         ("split-multi", "99999999999999999999999")],
+        ids=["split-lt", "split-multi"],
+    )
+    def test_oversize_inline_mu_gives_its_bound(self, capsys, formula, value):
+        # The unknot default holds mu and zero totals, so no --mu is too large
+        # to evaluate and none costs memory in proportion to its size.
+        values = ["--sigma-l", "0", "--eta-l", "0", "--total-lk", "1"]
+        code, out, err = run(capsys, "bound", formula, "--mu", str(10**23), *values)
+        assert (code, out, err) == (0, f"formula={formula} value={value} lk_parity=odd\n", "")
+        tracemalloc.start()
+        try:
+            code = main(["bound", formula, "--mu", str(10**9), *values])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2**20
+        assert capsys.readouterr().out.startswith(f"formula={formula} value=")
+
+    @pytest.mark.parametrize("name", ["L9a29", "L9a24"])
+    def test_fixture_without_components_means_unknots(self, capsys, tmp_path, name):
+        record = catalog.load_fixture(name)
+        points = record["samples"] if "samples" in record else [record]
+        for point in points:
+            point["components"] = [{"sigma": 0, "eta": 0}] * record["mu"]
+        explicit, implicit = tmp_path / "explicit.json", tmp_path / "implicit.json"
+        explicit.write_text(json.dumps(record), encoding="utf-8")
+        for point in points:
+            del point["components"]
+        implicit.write_text(json.dumps(record), encoding="utf-8")
+        formula = {"lt": "split-lt", "rank": "rank"}[record["kind"]]
+        expected = run(capsys, "bound", formula, str(explicit))
+        assert expected[0] == 0 and expected[1].startswith(f"name={name} formula={formula} ")
+        assert run(capsys, "bound", formula, str(implicit)) == expected
+
+    @pytest.mark.parametrize("mu", ["0", "-3"])
+    def test_unknot_default_needs_a_positive_mu(self, capsys, mu):
+        code, out, err = run(capsys, "bound", "split-multi", "--mu", mu,
+                             "--sigma-l", "0", "--eta-l", "0")
+        assert (code, out, err) == (2, "", "error: mu must be at least 1\n")
 
     @pytest.mark.parametrize(
         "argv, flag",

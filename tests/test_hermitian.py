@@ -183,7 +183,6 @@ class TestHermitianSignature:
         with pytest.raises(ValueError, match="non-finite"):
             hermitian_signature([[entry]])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
     def test_large_finite_entries(self):
         # Each entry is finite, but twice it is not: symmetrizing must not overflow.
         assert hermitian_signature(np.diag([1.5e308, -1.5e308])) == SignatureResult(0, 0, 1, 1)
