@@ -45,6 +45,19 @@ def _as_square_complex(matrix) -> np.ndarray:
     return a
 
 
+def _checked(stack):
+    """Each matrix's adjoint and zero threshold ``DEFAULT_TOL * max(1, max |entry|)``;
+    ``ValueError`` for a non-finite entry or asymmetry beyond the threshold."""
+    scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has non-finite entries")
+    adjoint = stack.conj().swapaxes(-1, -2)
+    threshold = DEFAULT_TOL * np.maximum(1.0, scale)
+    if (np.abs(stack - adjoint).max(axis=(-2, -1), initial=0.0) > threshold).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return adjoint, threshold
+
+
 def inertia_stack(stack):
     """Inertia of every matrix in an (N, n, n) stack of Hermitian matrices.
 
@@ -56,13 +69,7 @@ def inertia_stack(stack):
     Raises ``ValueError`` for a non-finite entry, a matrix that violates
     Hermitian symmetry beyond that threshold, or a NaN eigenvalue.
     """
-    scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
-    if not np.isfinite(scale).all():
-        raise ValueError("matrix has non-finite entries")
-    adjoint = stack.conj().swapaxes(-1, -2)
-    threshold = DEFAULT_TOL * np.maximum(1.0, scale)
-    if (np.abs(stack - adjoint).max(axis=(-2, -1), initial=0.0) > threshold).any():
-        raise ValueError("matrix is not Hermitian within tolerance")
+    adjoint, threshold = _checked(stack)
     # Symmetrize to kill rounding asymmetry before the eigensolver; halving
     # before adding keeps large finite entries from overflowing the sum.
     eigenvalues = np.linalg.eigvalsh(0.5 * stack + 0.5 * adjoint)
@@ -73,6 +80,14 @@ def inertia_stack(stack):
     negatives = (eigenvalues < -threshold).sum(axis=1)
     with np.errstate(over="ignore"):  # an overflowing |det| is reported as inf
         return positives, negatives, np.abs(eigenvalues).prod(axis=1)
+
+
+def det_stack(stack):
+    """Real determinants of a Hermitian stack from one LU, after the checks of
+    :func:`inertia_stack`; one beyond float range reads inf or NaN."""
+    _checked(stack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.det(stack).real
 
 
 def hermitian_signature(matrix) -> SignatureResult:

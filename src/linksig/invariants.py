@@ -7,14 +7,19 @@ diagonal, scans rectangular grids for the zero locus of det H, and
 estimates the minimal nullity over the torus from samples.
 
 Scans exclude the boundary angles 0 and 1 by construction: H vanishes when
-a coordinate hits 1, so grid fractions are k/(R+1) for k = 1..R.  A scan
-assembles H for a chunk of points at a time and classifies the chunk with
-one ``eigvalsh`` call.  Samples carry |det H|, the product of the
-eigenvalue magnitudes from that same call (its last printed digit can
-differ from an LU determinant), and the sign of the real determinant,
-(-1)^negatives, set to 0 when the nullity is positive.  The sign going
-through zero between neighbouring samples is the discrete trace of the
-zero locus, across which the signature is allowed to change.
+a coordinate hits 1, so grid fractions are k/(R+1) for k = 1..R.  On a line
+of the last coordinate, det H vanishes only at the unit-circle roots of the
+line's pencil (B, B*), so sigma and eta are constant on each arc between two
+roots.  ``eigvalsh`` classifies every sample within half a grid step of a
+root and both ends of every arc (a maximal run of the other samples).  An
+arc whose ends agree with eta = 0 hands their inertia to its interior, where
+a sample gets one LU determinant and goes to ``eigvalsh`` only if the sign
+disagrees; every sample of an arc whose ends disagree goes there too.
+|det H| is the LU magnitude inside arcs and the product of the eigenvalue
+magnitudes elsewhere (the last printed digit can differ).  The sign of the
+real determinant, (-1)^negatives, is 0 when the nullity is positive; its
+going through zero between neighbouring samples is the discrete trace of
+the zero locus, across which the signature may change.
 
 A scan classifies only one point of each conjugate pair (omega, conj omega)
 and mirrors the other.  Every A^eps is a real matrix (``validate`` demands
@@ -42,11 +47,15 @@ from .ccomplex import (
     h_at_minus_ones,
     torus_coordinate,
 )
-from .hermitian import hermitian_signature, inertia_stack, integer_symmetric_signature
+from .hermitian import det_stack, hermitian_signature, inertia_stack, integer_symmetric_signature
 
-#: Bytes of complex H matrices assembled and classified at a time, which
+#: Bytes of complex matrices assembled and factorized at a time, which
 #: bounds a scan's working memory at any resolution.
 CHUNK_BYTES = 256 * 1024
+#: The pencil shift w0, an irrational turn; the reciprocal condition number
+#: of M = B - w0 B* below which a line's roots are not trusted; and the
+#: |1 - |w|| below which a root is on the circle (a double one splits ~1e-8).
+_SHIFT, _MIN_RCOND, _ON_CIRCLE = np.exp(2j * np.pi * (3 - 5**0.5) / 2), 1e-8, 1e-3
 
 
 def _axis(resolution: int) -> list[Fraction]:
@@ -79,21 +88,59 @@ class ScanGrid:
         return int(np.count_nonzero(self.det_sign == 0))
 
 
-def _inertia(gss: GeneralizedSeifertSystem, values: np.ndarray):
-    """Positive and negative counts and |det H| at each row of ``values``.
-
-    Assembles and classifies CHUNK_BYTES of H matrices at a time.
-    """
+def _chunks(gss: GeneralizedSeifertSystem, axis: np.ndarray, indices: np.ndarray, digits: int):
+    """(indices, coordinates) per CHUNK_BYTES of n x n complex matrices.  Row j of
+    the coordinates holds the first ``digits`` of row-major grid index ``indices[j]``."""
     step = max(1, CHUNK_BYTES // (16 * max(1, gss.rank) ** 2))
-    positives = np.empty(len(values), dtype=int)
-    negatives = np.empty(len(values), dtype=int)
-    abs_det = np.empty(len(values))
-    for start in range(0, len(values), step):
-        chunk = slice(start, start + step)
-        positives[chunk], negatives[chunk], abs_det[chunk] = inertia_stack(
-            assemble_stack(gss, values[chunk])
+    powers = len(axis) ** np.arange(digits - 1, -1, -1)
+    for start in range(0, len(indices), step):
+        chunk = indices[start : start + step]
+        yield chunk, axis[chunk[:, None] // powers % len(axis)]
+
+
+def _inertia(gss, axis, indices, positives, negatives, abs_det) -> None:
+    """Classify the samples at ``indices`` with :func:`inertia_stack`, in place."""
+    for chunk, values in _chunks(gss, axis, indices, gss.mu):
+        stack = assemble_stack(gss, values)
+        positives[chunk], negatives[chunk], abs_det[chunk] = inertia_stack(stack)
+
+
+def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int) -> np.ndarray:
+    """(lines, R) mask of the samples within half a grid step of a root of det H
+    on their line (grid index j of the first mu - 1 coordinates), and of every
+    sample of a line whose M is ill-conditioned or whose nu is not finite.
+
+    On the line H(w) = (1 - conj w)(B - w B*), as every A^eps is real.  With
+    M = H(w0) / (1 - conj w0) and B* = (H(-1) / 2 - M) / (w0 + 1), the roots
+    of det H are w0 + 1/nu over the eigenvalues nu of M^-1 B*.
+    """
+    near = np.zeros((lines, len(axis)), dtype=bool)
+    for index, heads in _chunks(gss, axis, np.arange(lines), gss.mu - 1):
+        shifted, halfway = (
+            assemble_stack(gss, np.column_stack((heads, np.full(len(index), w))))
+            for w in (_SHIFT, -1.0)
         )
-    return positives, negatives, abs_det
+        nu = np.full((len(index), gss.rank), np.nan, dtype=complex)
+        # An overflow or an ill-conditioned M leaves its line's nu at NaN.
+        with np.errstate(all="ignore"):
+            m = shifted / (1 - np.conj(_SHIFT))
+            b_star = (halfway / 2 - m) / (_SHIFT + 1)
+            good = np.isfinite(b_star).all(axis=(-2, -1))
+            singular = np.linalg.svd(m[good], compute_uv=False)
+            smallest, largest = singular.min(-1, initial=np.inf), singular.max(-1, initial=0.0)
+            good[good] = smallest > _MIN_RCOND * largest
+            nu[good] = np.linalg.eigvals(np.linalg.solve(m[good], b_star[good]))
+            z = _SHIFT * nu + 1  # the root is z / nu
+            on_circle = np.abs(np.abs(z) - np.abs(nu)) < _ON_CIRCLE * np.abs(nu)
+        near[index[~np.isfinite(nu).all(-1)]] = True
+        line, root = np.nonzero(on_circle)
+        # Sample c (from 0) sits at (c + 1) / (R + 1) turns.
+        turns = np.angle(z[line, root] * nu[line, root].conj()) / (2 * np.pi) % 1.0
+        position = turns * (len(axis) + 1) - 1
+        for column in (np.ceil(position - 0.5), np.floor(position + 0.5)):
+            inside = (column >= 0) & (column < len(axis))
+            near[index[line[inside]], column[inside].astype(int)] = True
+    return near
 
 
 def signature_nullity(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> tuple[int, int]:
@@ -137,21 +184,39 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     non-real A^eps would make H non-Hermitian, which :func:`inertia_stack`
     rejects on the half that is computed.
 
+    Lines are classified arc by arc, as the module docstring says.
     With odd R the middle sample is its own conjugate and the all-1/2
     point; its inertia is the exact one of :func:`h_at_minus_ones`.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
-    # Allocated before the axis is built, so that an impossible R^mu fails at once.
-    values = np.empty((resolution,) * gss.mu + (gss.mu,), dtype=complex)
+    size = resolution**gss.mu
+    # Allocated before any work, so that an impossible R^mu fails at once.
+    positives, negatives, abs_det = np.empty(size, int), np.empty(size, int), np.empty(size)
     axis = np.array([torus_coordinate(q) for q in _axis(resolution)])
-    np.stack(np.meshgrid(*[axis] * gss.mu, indexing="ij"), axis=-1, out=values)
-    values = values.reshape(-1, gss.mu)
-    mirrored = len(values) // 2
-    computed = _inertia(gss, values[: len(values) - mirrored])
-    positives, negatives, abs_det = (
-        np.concatenate((half, half[:mirrored][::-1])) for half in computed
-    )
+    half = size - size // 2
+    free = ~_near_roots(gss, axis, -(-half // resolution))
+    free.ravel()[half:] = False  # the mirrored half
+    # An arc is a maximal run of free samples along a line.
+    starts = free & ~np.pad(free, ((0, 0), (1, 0)))[:, :-1]
+    ends = free & ~np.pad(free, ((0, 0), (0, 1)))[:, 1:]
+    direct = np.flatnonzero((~free | starts | ends).ravel()[:half])
+    _inertia(gss, axis, direct, positives, negatives, abs_det)
+    first, last = np.flatnonzero(starts), np.flatnonzero(ends)
+    agree = (positives[first] == positives[last]) & (negatives[first] == negatives[last])
+    agree &= positives[first] + negatives[first] == gss.rank
+    interior = np.flatnonzero(free & ~starts & ~ends)
+    arc = np.cumsum(starts)[interior] - 1
+    fill = agree[arc]
+    filled, redo = interior[fill], [interior[~fill]]
+    positives[filled], negatives[filled] = positives[first[arc[fill]]], negatives[first[arc[fill]]]
+    for chunk, values in _chunks(gss, axis, filled, gss.mu):
+        det = det_stack(assemble_stack(gss, values))
+        abs_det[chunk] = np.abs(det)
+        redo.append(chunk[np.sign(det) != 1 - 2 * (negatives[chunk] % 2)])
+    _inertia(gss, axis, np.concatenate(redo), positives, negatives, abs_det)
+    for values in (positives, negatives, abs_det):
+        values[half:] = values[: size // 2][::-1]
     if resolution % 2:
         exact = integer_symmetric_signature(h_at_minus_ones(gss))
         middle = np.ravel_multi_index((resolution // 2,) * gss.mu, (resolution,) * gss.mu)

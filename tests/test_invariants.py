@@ -1,6 +1,8 @@
 import cmath
+import contextlib
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +45,47 @@ def zero_system(mu=2, rank=3):
     return GeneralizedSeifertSystem(
         mu=mu, rank=rank, matrices={p: zeros for p in canonical_patterns(mu)}
     )
+
+
+@contextlib.contextmanager
+def count_factorizations(monkeypatch):
+    """Record the number of matrices of every eigvalsh and det call, per function."""
+    matrices = {"eigvalsh": [], "det": []}
+    for name, calls in matrices.items():
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, calls=calls, f=original: calls.append(len(a)) or f(a)
+        )
+    try:
+        yield matrices
+    finally:
+        monkeypatch.undo()
+
+
+TREFOIL = np.array([[-1, 1], [0, -1]])
+
+
+def block_diag(*blocks):
+    blocks = [np.asarray(b) for b in blocks]
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=int)
+    start = 0
+    for b in blocks:
+        out[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    return out
+
+
+def assert_matches_pointwise_and_oracle(system, grid):
+    """Every sample of a scan against ``signature_nullity`` and the oracle."""
+    for point, sigma, eta, abs_det, det_sign in scan_rows(grid):
+        oracle = oracle_sample(system, point.fractions)
+        assert (sigma, eta) == signature_nullity(system, point) == oracle[:2], point
+        # |det| of a singular H is rounding noise; compare it where eta = 0.
+        if eta == 0:
+            assert abs_det == pytest.approx(oracle[2], rel=1e-9)
+            assert det_sign == oracle[3]
+        else:
+            assert det_sign == 0
 
 
 def oracle_sample(system, fractions, tol=1e-9):
@@ -194,44 +237,113 @@ class TestTorusScan:
     )
     def test_kernel_matches_pointwise_and_oracle(self, mu, rank, resolution, seed):
         system = random_system(np.random.default_rng(seed), mu, rank)
-        grid = torus_scan(system, resolution)
-        for point, sigma, eta, abs_det, det_sign in scan_rows(grid):
-            oracle = oracle_sample(system, point.fractions)
-            assert (sigma, eta) == signature_nullity(system, point)
-            assert (sigma, eta) == oracle[:2]
-            # |det| of a singular H is rounding noise; compare it where eta = 0.
-            if eta == 0:
-                assert abs_det == pytest.approx(oracle[2], rel=1e-9)
-                assert det_sign == oracle[3]
-            else:
-                assert det_sign == 0
+        assert_matches_pointwise_and_oracle(system, torus_scan(system, resolution))
+
+    def test_long_arcs_match_pointwise_and_oracle(self):
+        lu_samples = []
+
+        @settings(deadline=None, max_examples=20)
+        @given(
+            st.integers(1, 2),
+            st.integers(1, 10),
+            st.integers(15, 41),
+            st.integers(0, 2**32 - 1),
+        )
+        def check(mu, rank, resolution, seed):
+            system = random_system(np.random.default_rng(seed), mu, rank)
+            with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det:
+                grid = torus_scan(system, resolution)
+            lu_samples.append(sum(len(call.args[0]) for call in det.call_args_list))
+            assert_matches_pointwise_and_oracle(system, grid)
+
+        check()
+        # The arc interiors really took the LU route, not only the fallback.
+        assert sum(n > 0 for n in lu_samples) >= len(lu_samples) // 2
+
+    @pytest.mark.parametrize(
+        "system, resolutions",
+        [
+            # det H = (w^2 - w + 1)^2: a double root at 1/6 and 5/6, on grid angles.
+            (GeneralizedSeifertSystem(1, 4, {"+": block_diag(TREFOIL, TREFOIL)}), (5, 11)),
+            # A touching double root: sigma does not change across it, eta does.
+            (GeneralizedSeifertSystem(1, 4, {"+": block_diag(TREFOIL, -TREFOIL)}), (5, 11)),
+            # B* = [[0, 0], [1, 0]] on the second block: nu = 0, a root at infinity.
+            (GeneralizedSeifertSystem(1, 4, {"+": block_diag(TREFOIL, [[0, 1], [0, 0]])}),
+             (5, 11, 40)),
+            # On the line omega_1 = -1 the first block vanishes, so M is singular.
+            (GeneralizedSeifertSystem(
+                2, 3, {"++": block_diag([[1]], [[0, 0], [0, -2]]),
+                       "+-": block_diag([[-1]], [[-1, 1], [0, -1]])}), (5, 11, 21)),
+            (zero_system(2, 0), (5, 6)),
+            (zero_system(1, 0), (7,)),
+            (zero_system(2, 3), (5, 6)),
+            (zero_system(1, 2), (7,)),
+        ],
+        ids=["double-root-on-grid", "touching-root", "b-star-singular", "m-singular",
+             "rank-0", "rank-0-mu-1", "zero-system", "zero-system-mu-1"],
+    )
+    def test_adversarial_pencils(self, system, resolutions):
+        for resolution in resolutions:
+            assert_matches_pointwise_and_oracle(system, torus_scan(system, resolution))
+
+    @pytest.mark.parametrize(
+        "system, resolution",
+        [
+            # H = (2 - 2 cos theta_1) H_{T+T}(omega_2): every line starts and ends on a root.
+            (GeneralizedSeifertSystem(2, 4, {"++": block_diag(TREFOIL, TREFOIL),
+                                             "+-": block_diag(TREFOIL, TREFOIL).T}), 5),
+            (GeneralizedSeifertSystem(1, 2, {"+": TREFOIL}), 10),
+            (random_system(np.random.default_rng(5), 2, 4), 13),
+        ],
+        ids=["root-at-arc-ends", "sign-flips-inside", "random"],
+    )
+    def test_arc_checks_hold_when_every_root_is_missed(self, monkeypatch, system, resolution):
+        # Only the arc-end agreement and the LU sign check are left to catch
+        # what the missing roots would have split off.
+        monkeypatch.setattr(
+            invariants, "_near_roots", lambda gss, axis, lines: np.zeros((lines, len(axis)), bool)
+        )
+        assert_matches_pointwise_and_oracle(system, torus_scan(system, resolution))
+
+    def test_adversarial_pencils_take_the_intended_routes(self):
+        axis = np.exp(2j * np.pi * np.arange(1, 12) / 12)
+        double = GeneralizedSeifertSystem(1, 4, {"+": block_diag(TREFOIL, TREFOIL)})
+        # Roots at 1/6 = 2/12 and 5/6 = 10/12: samples 2 and 10, from 1.
+        assert np.flatnonzero(invariants._near_roots(double, axis, 1)[0]).tolist() == [1, 9]
+        at_infinity = GeneralizedSeifertSystem(
+            1, 4, {"+": block_diag(TREFOIL, [[0, 1], [0, 0]])}
+        )
+        assert np.flatnonzero(invariants._near_roots(at_infinity, axis, 1)[0]).tolist() == [1, 9]
+        singular = GeneralizedSeifertSystem(
+            2, 3, {"++": block_diag([[1]], [[0, 0], [0, -2]]),
+                   "+-": block_diag([[-1]], [[-1, 1], [0, -1]])}
+        )
+        # Line 5 fixes omega_1 = 6/12, that is -1, where M has a zero row.
+        near = invariants._near_roots(singular, axis, 11)
+        assert near[5].all() and not near[4].all() and not near[6].all()
 
     def test_multi_chunk_scan_matches_pointwise(self, monkeypatch):
         system = random_system(np.random.default_rng(40), 2, 40)
         per_chunk = invariants.CHUNK_BYTES // (16 * 40 * 40)
-        assert 1 < per_chunk < 7**2  # the scan really spans several chunks
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        grid = torus_scan(system, 7)
-        monkeypatch.undo()
-        assert len(calls) == -(-25 // per_chunk)  # ceil(7^2 / 2) points classified
+        assert 1 < per_chunk < 15**2 // 2
+        with count_factorizations(monkeypatch) as matrices:
+            grid = torus_scan(system, 15)
+        # Both routes span several chunks, each at most CHUNK_BYTES of matrices.
+        for calls in matrices.values():
+            assert len(calls) > 1 and max(calls) == per_chunk
+        assert sum(matrices["eigvalsh"] + matrices["det"]) == -(-(15**2) // 2)
         for point, sigma, eta, abs_det, _ in scan_rows(grid):
             assert (sigma, eta) == signature_nullity(system, point)
             eigenvalues = np.linalg.eigvalsh(assemble_h(system, point))
             assert abs_det == pytest.approx(np.prod(np.abs(eigenvalues)), rel=1e-9)
 
     def test_scan_classifies_one_point_per_conjugate_pair(self, monkeypatch, example_system):
-        eigvalsh = np.linalg.eigvalsh
         for mu, resolution in itertools.product((1, 2, 3), (1, 2, 5, 6)):
             system = random_system(np.random.default_rng(mu), mu, 3)
-            matrices = []
-            monkeypatch.setattr(
-                np.linalg, "eigvalsh", lambda a: matrices.append(len(a)) or eigvalsh(a)
-            )
-            torus_scan(system, resolution)
-            monkeypatch.undo()
-            assert sum(matrices) == -(-(resolution**mu) // 2)
+            with count_factorizations(monkeypatch) as matrices:
+                torus_scan(system, resolution)
+            # One factorization per sample: eigvalsh, or an LU inside an arc.
+            assert sum(matrices["eigvalsh"] + matrices["det"]) == -(-(resolution**mu) // 2)
         sigma = torus_scan(example_system, 5).sigma.reshape(5, 5)
         assert np.array_equal(sigma, sigma[::-1, ::-1])
         # conjugating one coordinate reverses that color: no symmetry
