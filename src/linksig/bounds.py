@@ -316,6 +316,13 @@ def unlinking_bound(mu: int, sigma_l: int, eta_l: int, linking) -> BoundReport:
     )
 
 
+def _array(value) -> list:
+    """A JSON array as it is; ``list()`` would also take a string or an object."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def _point_record(record, mu) -> tuple:
     """(omega, sigma_L, eta_L, components) of a fixture or of a rank sample.
 
@@ -323,12 +330,12 @@ def _point_record(record, mu) -> tuple:
     """
     if not isinstance(record, Mapping):
         raise ValueError(f"malformed record: {record!r} is not an object")
-    omega = record_field(record, "omega", list) if "omega" in record else None
+    omega = record_field(record, "omega", _array) if "omega" in record else None
     return (
         None if omega is None else TorusPoint.from_strings(omega),
         record_field(record, "sigma_L"),
         record_field(record, "eta_L"),
-        ComponentInvariants.from_records(record_field(record, "components", list))
+        ComponentInvariants.from_records(record_field(record, "components", _array))
         if "components" in record
         else ComponentInvariants.unknots(_positive_mu(mu)),
     )
@@ -351,6 +358,6 @@ def evaluate_fixture(record: Mapping) -> BoundReport:
             return splitting_bound_lt(mu, sigma, eta, total, comps, omega)
         return splitting_bound_multivariable(mu, sigma, eta, comps, omega, total)
     if kind == "rank":
-        samples = [_point_record(sample, mu) for sample in record_field(record, "samples", list)]
+        samples = [_point_record(sample, mu) for sample in record_field(record, "samples", _array)]
         return rank_obstruction(mu, record_field(record, "beta_est"), samples, total)
     raise ValueError(f"unknown fixture kind {kind!r}")

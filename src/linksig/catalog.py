@@ -62,10 +62,6 @@ def fixture_records() -> dict[str, dict]:
     return {name: json.loads(text) for name, text in _texts("fixtures").items()}
 
 
-def system_records() -> dict[str, dict]:
-    return {name: json.loads(text) for name, text in _texts("systems").items()}
-
-
 def fixture_names() -> list[str]:
     return sorted(_texts("fixtures"))
 
@@ -74,20 +70,21 @@ def system_names() -> list[str]:
     return sorted(_texts("systems"))
 
 
-def _shipped(kind: str, name: str) -> dict:
-    """A fresh parse of the one shipped record ``name`` of ``kind``."""
+def _shipped(kind: str, name: str) -> str:
+    """The JSON text of the one shipped record ``name`` of ``kind``."""
     texts = _texts(kind + "s")
     if name not in texts:
         raise ValueError(f"unknown {kind} {name!r}; shipped: {', '.join(sorted(texts))}")
-    return json.loads(texts[name])
+    return texts[name]
 
 
 def load_fixture(name: str) -> dict:
-    return _shipped("fixture", name)
+    return json.loads(_shipped("fixture", name))
 
 
 def load_system(name: str) -> ccomplex.GeneralizedSeifertSystem:
-    return ccomplex.system_from_dict(_shipped("system", name))
+    """The shipped system ``name``, validated, over read-only arrays."""
+    return _from_text(_shipped("system", name))
 
 
 def _checked(system: ccomplex.GeneralizedSeifertSystem) -> ccomplex.GeneralizedSeifertSystem:
@@ -133,7 +130,7 @@ def resolve_system(token: str) -> ccomplex.GeneralizedSeifertSystem:
         except ccomplex.RecordError as exc:
             raise ValueError(f"{token}: {exc}") from exc
     if token in _texts("systems"):
-        return _from_text(_texts("systems")[token])
+        return load_system(token)
     if match := _CONWAY_NAME.match(token.strip()):
         return _checked(twobridge.build_gss(twobridge.ConwayForm.parse(match.group(1))))
     raise ValueError(
@@ -148,8 +145,9 @@ def resolve_fixture(token: str) -> dict:
 
 
 def self_check() -> None:
-    """Re-evaluate every shipped entry; raise CatalogError on any mismatch or
-    on a shipped record that cannot be read or built."""
+    """Re-evaluate every shipped entry; raise CatalogError on any mismatch or on
+    a shipped record that cannot be read, built or validated.  A shipped system
+    that passes stays in the cache that :func:`resolve_system` reads."""
     problems = []
     for name, record in fixture_records().items():
         try:
@@ -160,12 +158,13 @@ def self_check() -> None:
             continue
         if report.value != expected:
             problems.append(f"fixture {name}: evaluates to {report.value}, expected {expected}")
-    for name, record in system_records().items():
+    for name, text in _texts("systems").items():
         try:
-            violations = ccomplex.validate(ccomplex.system_from_dict(record))
+            _validated(text)
+        except InvalidSystem as exc:
+            problems.extend(f"system {name}: {problem}" for problem in exc.problems)
         except ValueError as exc:
-            violations = [str(exc)]
-        problems.extend(f"system {name}: {violation}" for violation in violations)
+            problems.append(f"system {name}: {exc}")
     if problems:
         raise CatalogError("; ".join(problems))
 

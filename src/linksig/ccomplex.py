@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, pi, sin
@@ -35,6 +36,9 @@ SignPattern = tuple[int, ...]
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 _THREE_QUARTERS = Fraction(3, 4)
+#: Angles are ASCII p/q, q not 0, with an optional sign; an exponent form counts as decimal.
+_ANGLE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_EXPONENT = re.compile(r"[+-]?[0-9]+[eE][+-]?[0-9]+")
 
 
 def canonical_patterns(mu: int) -> tuple[SignPattern, ...]:
@@ -42,16 +46,6 @@ def canonical_patterns(mu: int) -> tuple[SignPattern, ...]:
     if mu < 1:
         raise ValueError("mu must be at least 1")
     return tuple((1,) + rest for rest in itertools.product((1, -1), repeat=mu - 1))
-
-
-def all_patterns(mu: int) -> tuple[SignPattern, ...]:
-    if mu < 1:
-        raise ValueError("mu must be at least 1")
-    return tuple(itertools.product((1, -1), repeat=mu))
-
-
-def negate_pattern(pattern: SignPattern) -> SignPattern:
-    return tuple(-s for s in pattern)
 
 
 def pattern_from_string(text: str) -> SignPattern:
@@ -76,17 +70,17 @@ def pattern_to_string(pattern: SignPattern) -> str:
 def _parse_fraction(text: str) -> Fraction:
     # Decimal angles are rejected on purpose: reproducibility wants exact
     # fractions of a full turn ("1/2" for -1, "1/6" for exp(i*pi/3), ...).
+    # Fraction() alone would also take exponents, underscores and non-ASCII digits.
     item = str(text).strip()
-    if "." in item:
+    if "." in item or _EXPONENT.fullmatch(item):
         raise ValueError(f"decimal angle {item!r} rejected, use an exact fraction p/q")
-    try:
-        return Fraction(item)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid fraction {item!r}") from exc
+    if not _ANGLE.fullmatch(item):
+        raise ValueError(f"invalid fraction {item!r}")
+    return Fraction(item)
 
 
 def torus_coordinate(q: Fraction) -> complex:
-    """exp(2*pi*1j*q), exact at the quarter turns 1/4, 1/2 and 3/4."""
+    """exp(2*pi*1j*q), exact at 1/4, 1/2 and 3/4; ``ValueError`` where it rounds to 1."""
     if q == _HALF:
         return complex(-1.0, 0.0)
     if q == _QUARTER:
@@ -94,7 +88,9 @@ def torus_coordinate(q: Fraction) -> complex:
     if q == _THREE_QUARTERS:
         return complex(0.0, -1.0)
     angle = 2.0 * pi * float(q)
-    return complex(cos(angle), sin(angle))
+    if (value := complex(cos(angle), sin(angle))) == 1:
+        raise ValueError(f"angle {q} rounds to the excluded coordinate 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -196,13 +192,6 @@ class GeneralizedSeifertSystem:
         self.linking = None if linking is None else _as_array(linking)
         self.name = name
 
-    def matrix(self, pattern: SignPattern) -> np.ndarray:
-        """A^eps for any of the 2^mu patterns, transposing when needed."""
-        pattern = tuple(pattern)
-        if pattern in self.matrices:
-            return self.matrices[pattern]
-        return self.matrices[negate_pattern(pattern)].T
-
     def total_linking(self) -> int:
         if self.linking is None:
             raise ValueError("no linking data on this system")
@@ -282,23 +271,27 @@ def assemble_stack(gss: GeneralizedSeifertSystem, values: np.ndarray) -> np.ndar
     Row k of ``values`` holds the mu coordinates of point k on the unit
     circle.  Returns the (N, n, n) stack of H: the (N, 2^mu) coefficients,
     multiplied out coordinate by coordinate, contracted with the 2^mu
-    matrices A^eps stacked and flattened to shape (2^mu, n*n).
+    matrices A^eps stacked and flattened to shape (2^mu, n*n).  Only the
+    canonical half of each is built: -eps runs over the canonical patterns
+    backwards, and A^(-eps) = (A^eps)^T has the conjugate coefficient.
     """
     w = np.asarray(values, dtype=complex).T[:, None, :]
     if len(w) != gss.mu:
         raise ValueError(f"torus point has {len(w)} coordinates, system has {gss.mu} colors")
-    patterns = all_patterns(gss.mu)
+    patterns = canonical_patterns(gss.mu)
     signs = (np.array(patterns) > 0).T[:, :, None]
     # conj(w)^sign on the unit circle: conj(w) for +, w itself for -.
     factors = np.where(signs, 1.0 - w.conj(), 1.0 - w)
     coefficients = factors[0]
     for factor in factors[1:]:
         coefficients = coefficients * factor
+    coefficients = np.concatenate([coefficients, coefficients[::-1].conj()])
     try:
-        stack = np.array([gss.matrix(p) for p in patterns], dtype=complex)
+        stack = np.array([gss.matrices[p] for p in patterns], dtype=complex)
     except OverflowError as exc:
         raise ValueError(f"matrix entries beyond floating-point range: {exc}") from None
-    flat = stack.reshape(len(patterns), gss.rank * gss.rank)
+    stack = np.concatenate([stack, stack[::-1].swapaxes(1, 2)])
+    flat = stack.reshape(2 * len(patterns), gss.rank * gss.rank)
     return (coefficients.T @ flat).reshape(w.shape[-1], gss.rank, gss.rank)
 
 

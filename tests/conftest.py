@@ -45,6 +45,15 @@ def random_system(rng: np.random.Generator, mu: int, rank: int, bound: int = 5):
     return GeneralizedSeifertSystem(mu=mu, rank=rank, matrices=matrices)
 
 
+def full_family(system: GeneralizedSeifertSystem):
+    """(eps, A^eps) for all 2^mu sign patterns, A^(-eps) = (A^eps)^T read off the stored half."""
+    for pattern in itertools.product((1, -1), repeat=system.mu):
+        if pattern[0] > 0:
+            yield pattern, np.asarray(system.matrices[pattern])
+        else:
+            yield pattern, np.asarray(system.matrices[tuple(-s for s in pattern)]).T
+
+
 def random_torus_fractions(rng: np.random.Generator, mu: int):
     out = []
     for _ in range(mu):

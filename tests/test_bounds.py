@@ -29,6 +29,10 @@ class TestComponentInvariants:
     def test_rejects_negative_nullity(self):
         with pytest.raises(ValueError):
             ComponentInvariants.of((1, 0), (0, -1))
+        with pytest.raises(ValueError, match="^component nullities must be non-negative$"):
+            ComponentInvariants(2, 0, -1)
+        with pytest.raises(ValueError, match="^the number of components must be non-negative$"):
+            ComponentInvariants(-1, 0, 0)
 
     def test_from_records(self):
         comps = ComponentInvariants.from_records(
@@ -161,9 +165,11 @@ class TestLinkingNumberBound:
             ([[0, 1], [2, 0]], None, "symmetric"),
             ([], 0, "mu must be at least 1"),
             ([1], -3, "mu must be at least 1"),
+            ([[0, 1, 2], [1, 0, 3]], None, r"expected a square matrix, got shape \(2, 3\)"),
+            ([[[0]]], None, "linking data must be a square matrix or its upper triangle"),
         ],
         ids=["flat-short", "matrix-too-small", "flat-not-triangular", "asymmetric", "mu-0",
-             "mu-negative"],
+             "mu-negative", "non-square", "three-dimensional"],
     )
     def test_malformed_linking_data(self, linking, mu, message):
         with pytest.raises(ValueError, match=message):

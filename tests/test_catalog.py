@@ -58,7 +58,10 @@ class TestShippedFixtures:
         for record in catalog.fixture_records().values():
             record["sigma_L"] = 99
         catalog.load_fixture("L9a29")["components"].clear()
-        catalog.system_records()["C(4,3,2)"]["matrices"]["++"][0][0] = 7
+        system = catalog.load_system("C(4,3,2)")
+        with pytest.raises(ValueError, match="read-only"):
+            system.matrices[(1, 1)][0, 0] = 7
+        system.matrices.clear()
 
         catalog.self_check()
         assert catalog.load_fixture("L9a29") == on_disk
@@ -116,17 +119,20 @@ class TestCheckShipped:
         [
             ({"mu": None}, "malformed record: missing field 'mu'"),
             ({"matrices": {"+x": [[0]]}}, "invalid sign character 'x' in pattern '+x'"),
+            ({"matrices": {"": [[0]]}}, "empty sign pattern"),
             ({"matrices": {"++": [[0, 0], [0]], "+-": [[-1, 1], [0, -1]]}},
              "matrix for pattern '++' has shape (2,), expected (2, 2)"),
         ],
-        ids=["missing-mu", "bad-pattern", "ragged"],
+        ids=["missing-mu", "bad-pattern", "empty-pattern", "ragged"],
     )
     def test_malformed_shipped_system_exits_3(self, monkeypatch, capsys, change, problem):
         from linksig.cli import main
 
-        record = {**catalog.system_records()["C(4,3,2)"], **change}
+        texts = catalog._texts
+        record = {**json.loads(texts("systems")["C(4,3,2)"]), **change}
         record = {key: value for key, value in record.items() if value is not None}
-        monkeypatch.setattr(catalog, "system_records", lambda: {"C(4,3,2)": record})
+        shipped = {"fixtures": texts("fixtures"), "systems": {"C(4,3,2)": json.dumps(record)}}
+        monkeypatch.setattr(catalog, "_texts", shipped.get)
         assert main(self.ARGV) == 3
         assert capsys.readouterr() == (
             "", f"catalog self-check failed: system C(4,3,2): {problem}\n"
@@ -244,6 +250,16 @@ class TestSystemCache:
         catalog.resolve_system(token)
         assert calls == {"system_from_dict": 1, "validate": 1}
 
+    def test_gate_leaves_the_shipped_system_validated(self, monkeypatch):
+        from linksig import ccomplex
+
+        catalog.check_shipped()
+        calls = []
+        build = ccomplex.system_from_dict
+        monkeypatch.setattr(ccomplex, "system_from_dict", lambda d: calls.append(1) or build(d))
+        assert catalog.resolve_system("C(4,3,2)").rank == 2
+        assert calls == []
+
     def test_invalid_system_exits_3_on_every_call(self, tmp_path, capsys):
         from linksig.cli import main
 
@@ -259,7 +275,8 @@ class TestSystemCache:
             assert out == ""
             errors.append(err)
         assert errors == ["invariant violation: missing matrix for canonical pattern '+-'\n"] * 3
-        assert catalog._validated.cache_info().currsize == 0
+        # The one entry is the shipped system that the catalog gate validated.
+        assert catalog._validated.cache_info().currsize == 1
 
     def test_crlf_json_error_matches_read_record(self, tmp_path, capsys):
         from linksig.ccomplex import read_record

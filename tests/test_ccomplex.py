@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from linksig.ccomplex import (
     GeneralizedSeifertSystem,
     TorusPoint,
-    all_patterns,
     assemble_h,
     canonical_patterns,
     h_at_minus_ones,
@@ -19,7 +19,7 @@ from linksig.ccomplex import (
 )
 from linksig.hermitian import hermitian_signature
 
-from conftest import random_system, random_torus_fractions, system_document
+from conftest import full_family, random_system, random_torus_fractions, system_document
 
 
 class TestSignPatterns:
@@ -28,7 +28,8 @@ class TestSignPatterns:
             patterns = canonical_patterns(mu)
             assert len(patterns) == 2 ** (mu - 1)
             assert all(p[0] == 1 for p in patterns)
-            assert len(all_patterns(mu)) == 2**mu
+        with pytest.raises(ValueError, match="^mu must be at least 1$"):
+            canonical_patterns(0)
 
     def test_string_round_trip(self):
         assert pattern_from_string("+-") == (1, -1)
@@ -45,10 +46,21 @@ class TestTorusPoint:
             TorusPoint.of(1)
         with pytest.raises(ValueError):
             TorusPoint.of(Fraction(5, 4))
+        with pytest.raises(ValueError, match="^torus point needs at least one coordinate$"):
+            TorusPoint(())
+        with pytest.raises(ValueError, match="^coordinate 0.5 is not an exact fraction$"):
+            TorusPoint((0.5,))
 
     def test_rejects_decimal_strings(self):
         with pytest.raises(ValueError, match="decimal"):
             TorusPoint.from_strings(["0.5"])
+        for item in ["1e-3", "2E-1", "+1E+2"]:
+            with pytest.raises(ValueError, match=f"^decimal angle '{re.escape(item)}' rejected"):
+                TorusPoint.from_strings([item])
+        # Fraction() reads these too; an angle is ASCII digits with at most one '/'.
+        for item in ["1_0/30", "\u0663/7", "1/2/3", "1 /2"]:
+            with pytest.raises(ValueError, match=f"^invalid fraction '{item}'$"):
+                TorusPoint.from_strings([item])
 
     def test_minus_one_is_exact(self):
         point = TorusPoint.minus_ones(2)
@@ -148,7 +160,9 @@ class TestAssembly:
         # every coefficient equals 2^mu at (-1, ..., -1), over the full family
         rng = np.random.default_rng(3)
         system = random_system(rng, mu=3, rank=4)
-        family_sum = sum(np.asarray(system.matrix(p)) for p in all_patterns(3))
+        family = list(full_family(system))
+        assert len(family) == 2**3
+        family_sum = sum(a for _, a in family)
         assert np.array_equal(h_at_minus_ones(system), 2**3 * family_sum)
 
     def test_color_count_mismatch(self, example_system):

@@ -72,6 +72,41 @@ class TestSig:
         code, _, err = run(capsys, "sig", "C(4,3,2)", "--omega", "0.5,0.5")
         assert code == 2
         assert "decimal" in err
+        # Fraction() reads exponent forms too; they are decimals all the same.
+        for item in ["1e-3", "2E-1", "0.001"]:
+            code, out, err = run(capsys, "sig", "C(4,3,2)", "--omega", f"{item},1/2")
+            assert (code, out) == (2, "")
+            assert err == f"error: decimal angle {item!r} rejected, use an exact fraction p/q\n"
+
+    @pytest.mark.parametrize("item", ["1_0/30", "\u0663/7", "1/0", "nan", "1/-2"])
+    def test_invalid_fraction_exits_2(self, capsys, item):
+        code, out, err = run(capsys, "sig", "C(4,3,2)", "--omega", f"{item},1/2")
+        assert (code, out, err) == (2, "", f"error: invalid fraction {item!r}\n")
+
+    def test_angle_that_rounds_to_coordinate_1_exits_2(self, capsys):
+        # float(1/10**400) is 0, so H would vanish and give eta = rank.
+        tiny = f"1/{10**400}"
+        assert run(capsys, "sig", "C(4,3,2)", "--omega", f"{tiny},1/2") == (
+            2, "", f"error: angle {tiny} rounds to the excluded coordinate 1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "change, code, errors",
+        [
+            ({"rank": -1, "matrices": {"+": []}}, 3,
+             ["invariant violation: rank must be non-negative, got -1",
+              "invariant violation: matrix for pattern '+' has shape (0, 0), expected (-1, -1)"]),
+            ({"matrices": [[1]]}, 2, ["error: 'matrices' must be an object keyed by sign patterns"]),
+        ],
+        ids=["rank-negative", "matrices-not-object"],
+    )
+    def test_malformed_system_names_each_problem(self, capsys, tmp_path, change, code, errors):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"mu": 1, "rank": 1, "matrices": {"+": [[1]]}, **change}),
+                        encoding="utf-8")
+        assert run(capsys, "sig", str(path), "--omega", "1/3") == (
+            code, "", "".join(f"{line}\n" for line in errors)
+        )
 
     def test_invalid_system_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -135,8 +170,11 @@ class TestSig:
     @pytest.mark.parametrize(
         "field, value, problem",
         [("matrices", {"+": [[1, 0], [0]]}, "matrix for pattern '+' has shape (2,), expected (2, 2)"),
-         ("linking", [[0], [0, 0]], "linking matrix has shape (2,), expected (1, 1)")],
-        ids=["matrices", "linking"],
+         ("linking", [[0], [0, 0]], "linking matrix has shape (2,), expected (1, 1)"),
+         ("mu", 0, "mu must be at least 1, got 0"),
+         ("matrices", {"+": [[1, 0], [0, 1]], "+-": [[1, 0], [0, 1]]},
+          "pattern '+-' has length 2, expected 1")],
+        ids=["matrices", "linking", "mu-0", "pattern-length"],
     )
     def test_ragged_rows_exit_3_naming_the_shape(self, capsys, tmp_path, field, value, problem):
         doc = {"mu": 1, "rank": 2, "matrices": {"+": [[1, 0], [0, 1]]}, field: value}
@@ -371,9 +409,30 @@ class TestBound:
              "component data for 3 colors, expected 2"),
             (["rank"], {"kind": "rank", "mu": 2, "beta_est": 0, "samples": [5]},
              "malformed record: 5 is not an object"),
+            (["split-lt"], {"kind": "lt", "mu": 2, "sigma_L": 0, "eta_L": 0, "total_lk": 1,
+                            "omega": {"1/2": 0, "1/3": 0}},
+             "malformed record: field 'omega': expected a list, got dict"),
+            (["split-lt"], {"kind": "lt", "mu": 2, "sigma_L": 0, "eta_L": 0, "total_lk": 1,
+                            "omega": "1/2,1/2"},
+             "malformed record: field 'omega': expected a list, got str"),
+            (["rank"], {"kind": "rank", "mu": 2, "beta_est": 0, "samples": ""},
+             "malformed record: field 'samples': expected a list, got str"),
+            (["split-multi"], {"kind": "multi", "mu": 2, "sigma_L": 0, "eta_L": 0,
+                               "components": {"sigma": 0, "eta": 0}},
+             "malformed record: field 'components': expected a list, got dict"),
+            (["rank"], {"kind": "rank", "mu": 2, "beta_est": -1, "samples": []},
+             "beta_est must be non-negative"),
+            (["split-multi", "--mu", "2", "--sigma-l", "0", "--eta-l", "-1"], None,
+             "eta_l must be non-negative"),
+            (["unlink", "--mu", "2", "--sigma-l", "0", "--eta-l", "-1", "--lk", "1"], None,
+             "eta_l must be non-negative"),
+            (["linking", "L9a29"], None,
+             "formula 'linking' takes inline flags, not a fixture file"),
         ],
         ids=["inline", "fixture", "rank-sample", "rank-sample-components",
-             "rank-sample-not-object"],
+             "rank-sample-not-object", "omega-object", "omega-string", "samples-string",
+             "components-object", "beta-negative", "split-multi-eta-negative",
+             "unlink-eta-negative", "linking-fixture"],
     )
     def test_omega_count_mismatch_exits_2(self, capsys, tmp_path, argv, record, error):
         if record is not None:
@@ -467,9 +526,10 @@ class TestBound:
             (["--split", "0,2"], "pair flag (0, 2) names a component outside 1..2"),
             (["--split", "7,9"], "pair flag (7, 9) names a component outside 1..2"),
             (["--nonsplit", "2,2"], "pair flag (2, 2) names component 2 twice"),
+            (["--nonsplit", "1"], "pair flags expect 'i,j', got '1'"),
         ],
         ids=["conflict", "conflict-reversed", "conflict-same-order", "component-0",
-             "beyond-mu", "same-component"],
+             "beyond-mu", "same-component", "one-index"],
     )
     def test_linking_bad_pair_flag_exits_2(self, capsys, flags, error):
         code, out, err = run(capsys, "bound", "linking", "--lk", "0", *flags)
@@ -582,6 +642,12 @@ class TestTwobridge:
         lines = out.strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("omega=1/3,1/5 sigma=")
+
+    def test_angle_that_rounds_to_coordinate_1_exits_2(self, capsys):
+        tiny = f"1/{10**400}"
+        assert run(capsys, "twobridge", "4,3,2", "--omega", f"1/2,{tiny}") == (
+            2, "", f"error: angle {tiny} rounds to the excluded coordinate 1\n"
+        )
 
     def test_deterministic(self, capsys):
         _, out_a, _ = run(capsys, "twobridge", "8,2,4,3,6")

@@ -13,7 +13,6 @@ from linksig import invariants
 from linksig.ccomplex import (
     GeneralizedSeifertSystem,
     TorusPoint,
-    all_patterns,
     assemble_h,
     h_at_minus_ones,
 )
@@ -29,7 +28,7 @@ from linksig.invariants import (
     write_scan_csv,
 )
 
-from conftest import grid_points, random_system, random_torus_fractions
+from conftest import full_family, grid_points, random_system, random_torus_fractions
 
 
 def scan_rows(grid):
@@ -93,12 +92,12 @@ def oracle_sample(system, fractions, tol=1e-9):
     and an LU determinant.  Returns (sigma, eta, |det|, sign of det)."""
     n = system.rank
     h = np.zeros((n, n), dtype=complex)
-    for pattern in all_patterns(system.mu):
+    for pattern, a in full_family(system):
         coefficient = 1 + 0j
         for q, sign in zip(fractions, pattern):
             w = cmath.exp(2j * cmath.pi * float(q))
             coefficient *= (1 - w.conjugate()) if sign > 0 else (1 - w)
-        h = h + coefficient * np.asarray(system.matrix(pattern), dtype=complex)
+        h = h + coefficient * a.astype(complex)
     eigenvalues, _ = np.linalg.eigh((h + h.conj().T) / 2)
     threshold = tol * max(1.0, float(np.abs(h).max()) if n else 1.0)
     pos = int(np.sum(eigenvalues > threshold))
