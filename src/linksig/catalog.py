@@ -3,11 +3,11 @@
 The catalog has two kinds of entries: generalized Seifert systems (full
 matrix data, re-evaluated on demand) and bound fixtures (published
 invariant values of named links together with the bound they certify).
-Every fixture carries its expected bound, and :func:`self_check`
-re-evaluates all of them; a mismatch means the shipped data is corrupt.
-The shipped files are read once per process, and a lookup by name parses
-only the record it returns.  :func:`check_shipped`, the gate every CLI
-command passes, runs that check once per process.
+Every fixture carries its expected bound, and :func:`self_check`, the gate
+every CLI command passes, re-evaluates all of them once per process; a
+mismatch means the shipped data is corrupt.  A failure is not cached, so
+every later call raises again.  The shipped files are read once per process,
+and a lookup by name parses only the record it returns.
 
 :func:`resolve_system` reads a file named on the command line on every
 call, but parses and validates a system's text once while it is unchanged:
@@ -144,10 +144,12 @@ def resolve_fixture(token: str) -> dict:
     return load_fixture(token)
 
 
+@functools.cache
 def self_check() -> None:
-    """Re-evaluate every shipped entry; raise CatalogError on any mismatch or on
-    a shipped record that cannot be read, built or validated.  A shipped system
-    that passes stays in the cache that :func:`resolve_system` reads."""
+    """Re-evaluate every shipped entry, once per process; raise CatalogError on
+    any mismatch or on a shipped record that cannot be read, built or validated.
+    A failure is not cached, so every call after one raises again.  A shipped
+    system that passes stays in the cache that :func:`resolve_system` reads."""
     problems = []
     for name, record in fixture_records().items():
         try:
@@ -168,11 +170,3 @@ def self_check() -> None:
     if problems:
         raise CatalogError("; ".join(problems))
 
-
-@functools.cache
-def check_shipped() -> None:
-    """:func:`self_check`, once per process: the shipped text it checks is read once.
-
-    A failure is not cached, so every call after one raises ``CatalogError`` again.
-    """
-    self_check()

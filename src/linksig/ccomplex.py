@@ -34,8 +34,8 @@ from .hermitian import exact_int, exact_int_rows
 SignPattern = tuple[int, ...]
 
 _HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
-_THREE_QUARTERS = Fraction(3, 4)
+#: The exact coordinates at 1/4, 1/2 and 3/4 turn; each zero part is +0.0, unlike that of -1j.
+_EXACT = {Fraction(1, 4): complex(0, 1), _HALF: complex(-1, 0), Fraction(3, 4): complex(0, -1)}
 #: Angles are ASCII p/q, q not 0, with an optional sign; an exponent form counts as decimal.
 _ANGLE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 _EXPONENT = re.compile(r"[+-]?[0-9]+[eE][+-]?[0-9]+")
@@ -80,17 +80,13 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def torus_coordinate(q: Fraction) -> complex:
-    """exp(2*pi*1j*q), exact at 1/4, 1/2 and 3/4; ``ValueError`` where it rounds to 1."""
-    if q == _HALF:
-        return complex(-1.0, 0.0)
-    if q == _QUARTER:
-        return complex(0.0, 1.0)
-    if q == _THREE_QUARTERS:
-        return complex(0.0, -1.0)
-    angle = 2.0 * pi * float(q)
-    if (value := complex(cos(angle), sin(angle))) == 1:
+    """exp(2*pi*1j*q), exact at 1/4, 1/2 and 3/4; ``ValueError`` where float(q) is 0 or 1."""
+    if (value := _EXACT.get(q)) is not None:
+        return value
+    if not 0.0 < (turns := float(q)) < 1.0:
         raise ValueError(f"angle {q} rounds to the excluded coordinate 1")
-    return value
+    angle = 2.0 * pi * turns
+    return complex(cos(angle), sin(angle))
 
 
 @dataclass(frozen=True)
@@ -233,13 +229,14 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
     for pattern in sorted(expected - present, reverse=True):
         problems.append(f"missing matrix for canonical pattern '{pattern_to_string(pattern)}'")
     for pattern in sorted(present - expected, reverse=True):
+        if not set(pattern) <= {1, -1}:
+            problems.append(f"pattern {pattern} has a sign other than +1 or -1")
+            continue
         label = pattern_to_string(pattern)
         if len(pattern) != gss.mu:
             problems.append(f"pattern '{label}' has length {len(pattern)}, expected {gss.mu}")
-        elif pattern and pattern[0] != 1:
-            problems.append(f"pattern '{label}' is not canonical (first sign must be +)")
         else:
-            problems.append(f"unexpected pattern '{label}'")
+            problems.append(f"pattern '{label}' is not canonical (first sign must be +)")
 
     for pattern in sorted(expected & present, reverse=True):
         a = gss.matrices[pattern]
@@ -352,7 +349,7 @@ def system_from_dict(doc: Mapping) -> GeneralizedSeifertSystem:
     return GeneralizedSeifertSystem(
         mu=mu,
         rank=rank,
-        matrices={key: value for key, value in matrices.items()},
+        matrices=matrices,
         linking=doc.get("linking"),
         name=doc.get("name"),
     )

@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        catalog.check_shipped()
+        catalog.self_check()
         return args.func(args)
     except CatalogError as exc:
         print(f"catalog self-check failed: {exc}", file=sys.stderr)

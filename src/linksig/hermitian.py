@@ -38,8 +38,8 @@ class SignatureResult(NamedTuple):
     negatives: int
 
 
-def _as_square_complex(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=complex)
+def _square(matrix, dtype=None) -> np.ndarray:
+    a = np.asarray(matrix, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -99,7 +99,7 @@ def hermitian_signature(matrix) -> SignatureResult:
     Raises ``ValueError`` for non-square input, non-finite entries, or a
     matrix that is not Hermitian within that threshold.
     """
-    a = _as_square_complex(matrix)
+    a = _square(matrix, complex)
     positives, negatives, _ = inertia_stack(a[None])
     p, q = int(positives[0]), int(negatives[0])
     return SignatureResult(p - q, a.shape[0] - p - q, p, q)
@@ -123,9 +123,7 @@ def exact_int(value) -> int:
 
 def exact_int_rows(matrix) -> list[list[int]]:
     """The rows of a square matrix as Python ints, each read by :func:`exact_int`."""
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _square(matrix)
     if a.dtype.kind in "iu":
         return a.tolist()
     return [[exact_int(value) for value in row] for row in a.tolist()]
@@ -211,7 +209,7 @@ def bordered_delta(matrix, border, corner):
 
     Raises ``ValueError`` when the border length does not match ``M`` or an entry is not finite.
     """
-    a = _as_square_complex(matrix)
+    a = _square(matrix, complex)
     n = a.shape[0]
     z = np.asarray(border, dtype=complex)
     if z.shape != (n,):

@@ -219,8 +219,7 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
         values[half:] = values[: size // 2][::-1]
     if resolution % 2:
         exact = integer_symmetric_signature(h_at_minus_ones(gss))
-        middle = np.ravel_multi_index((resolution // 2,) * gss.mu, (resolution,) * gss.mu)
-        positives[middle], negatives[middle] = exact.positives, exact.negatives
+        positives[size // 2], negatives[size // 2] = exact.positives, exact.negatives
     eta = gss.rank - positives - negatives
     return ScanGrid(
         resolution=resolution,

@@ -59,18 +59,19 @@ class ConwayForm:
     def __post_init__(self):
         coeffs = tuple(exact_int(c) for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
-        label = f"C({','.join(str(c) for c in coeffs)})"
         if not coeffs or len(coeffs) % 2 == 0:
             raise ValueError(
-                f"{label}: expected an odd number of coefficients "
+                f"{self.name}: expected an odd number of coefficients "
                 "(the supported family is C(2a_1,b_1,...,2a_n))"
             )
         for position, c in enumerate(coeffs, start=1):
             if c <= 0:
-                raise ValueError(f"{label}: coefficient {c} at position {position} must be positive")
+                raise ValueError(
+                    f"{self.name}: coefficient {c} at position {position} must be positive"
+                )
             if position % 2 == 1 and c % 2 != 0:
                 raise ValueError(
-                    f"{label}: coefficient {c} at odd position {position} must be even; "
+                    f"{self.name}: coefficient {c} at odd position {position} must be even; "
                     "forms outside C(2a_1,b_1,...,2a_n) are not supported"
                 )
 

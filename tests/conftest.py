@@ -20,9 +20,9 @@ def unchecked_catalog():
     A test that patches the catalog data then sees its own patch checked, not
     an earlier test's pass.
     """
-    catalog.check_shipped.cache_clear()
+    catalog.self_check.cache_clear()
     yield
-    catalog.check_shipped.cache_clear()
+    catalog.self_check.cache_clear()
 
 
 @pytest.fixture

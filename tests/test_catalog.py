@@ -63,6 +63,7 @@ class TestShippedFixtures:
             system.matrices[(1, 1)][0, 0] = 7
         system.matrices.clear()
 
+        catalog.self_check.cache_clear()  # check the shipped data again, not the cached pass
         catalog.self_check()
         assert catalog.load_fixture("L9a29") == on_disk
         assert main(argv) == 0
@@ -99,6 +100,12 @@ class TestCheckShipped:
         assert main(self.ARGV) == 0
         assert len(calls) == len(EXPECTED_BOUNDS)
         assert capsys.readouterr().out == "sigma=-2 eta=0\n" * 2
+        catalog.self_check()
+        assert len(calls) == len(EXPECTED_BOUNDS)
+        catalog.self_check.cache_clear()
+        catalog.self_check()
+        catalog.self_check()
+        assert len(calls) == 2 * len(EXPECTED_BOUNDS)
 
     def test_failure_is_reported_on_every_command(self, monkeypatch, capsys):
         from linksig.cli import main
@@ -112,7 +119,7 @@ class TestCheckShipped:
             assert err == (
                 "catalog self-check failed: fixture L9a29: evaluates to 3, expected 4\n"
             )
-        assert catalog.check_shipped.cache_info().currsize == 0
+        assert catalog.self_check.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "change, problem",
@@ -253,7 +260,7 @@ class TestSystemCache:
     def test_gate_leaves_the_shipped_system_validated(self, monkeypatch):
         from linksig import ccomplex
 
-        catalog.check_shipped()
+        catalog.self_check()
         calls = []
         build = ccomplex.system_from_dict
         monkeypatch.setattr(ccomplex, "system_from_dict", lambda d: calls.append(1) or build(d))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from linksig.ccomplex import (
     pattern_from_string,
     pattern_to_string,
     system_from_dict,
+    torus_coordinate,
     validate,
 )
 from linksig.hermitian import hermitian_signature
@@ -70,6 +72,12 @@ class TestTorusPoint:
     def test_quarter_turns_exact(self):
         assert TorusPoint.of(Fraction(1, 4)).values() == (1j,)
         assert TorusPoint.of(Fraction(3, 4)).values() == (-1j,)
+        # Every zero part is +0.0; the real part of -1j would be -0.0.
+        for q, expected in [("1/4", (0.0, 1.0)), ("1/2", (-1.0, 0.0)), ("3/4", (0.0, -1.0))]:
+            w = torus_coordinate(Fraction(q))
+            assert [(x, math.copysign(1.0, x)) for x in (w.real, w.imag)] == [
+                (x, math.copysign(1.0, x)) for x in expected
+            ]
 
     def test_generic_value_on_unit_circle(self):
         (w,) = TorusPoint.from_strings(["1/6"]).values()
@@ -102,6 +110,21 @@ class TestValidate:
         problems = validate(bad)
         assert any("canonical" in p for p in problems)
         assert any("missing" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "key", [(1, 2), (2, -1), (1, "x")], ids=["second-sign-2", "first-sign-2", "text"]
+    )
+    def test_tuple_key_with_a_sign_other_than_1(self, key):
+        bad = GeneralizedSeifertSystem(mu=2, rank=1, matrices={(1, 1): [[0]], key: [[1]]})
+        assert validate(bad) == [
+            "missing matrix for canonical pattern '+-'",
+            f"pattern {key} has a sign other than +1 or -1",
+        ]
+
+    def test_repr(self, example_system):
+        assert repr(example_system) == "<GeneralizedSeifertSystem 'C(4,3,2)' mu=2 rank=2>"
+        example_system.name = None
+        assert repr(example_system) == "<GeneralizedSeifertSystem mu=2 rank=2>"
 
     def test_total_linking_does_not_wrap(self):
         big = 2**62

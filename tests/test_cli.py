@@ -16,6 +16,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: Angles whose float is 0 or 1 turn: the coordinate would be 1 or within 2.5e-16 of it.
+NEAR_0_OR_1 = [f"1/{10**400}", f"{10**17 - 1}/{10**17}", f"{10**400 - 1}/{10**400}"]
+
+
 def write_zero_system(tmp_path, mu=2, rank=3):
     from linksig.ccomplex import canonical_patterns, pattern_to_string
 
@@ -84,11 +88,12 @@ class TestSig:
         assert (code, out, err) == (2, "", f"error: invalid fraction {item!r}\n")
 
     def test_angle_that_rounds_to_coordinate_1_exits_2(self, capsys):
-        # float(1/10**400) is 0, so H would vanish and give eta = rank.
-        tiny = f"1/{10**400}"
-        assert run(capsys, "sig", "C(4,3,2)", "--omega", f"{tiny},1/2") == (
-            2, "", f"error: angle {tiny} rounds to the excluded coordinate 1\n"
-        )
+        # float() of each angle is 0 or 1 turn, so H would vanish or fall below
+        # the zero test's floor and give eta = rank.
+        for angle in NEAR_0_OR_1:
+            assert run(capsys, "sig", "C(4,3,2)", "--omega", f"{angle},1/2") == (
+                2, "", f"error: angle {angle} rounds to the excluded coordinate 1\n"
+            )
 
     @pytest.mark.parametrize(
         "change, code, errors",
@@ -644,10 +649,10 @@ class TestTwobridge:
         assert lines[1].startswith("omega=1/3,1/5 sigma=")
 
     def test_angle_that_rounds_to_coordinate_1_exits_2(self, capsys):
-        tiny = f"1/{10**400}"
-        assert run(capsys, "twobridge", "4,3,2", "--omega", f"1/2,{tiny}") == (
-            2, "", f"error: angle {tiny} rounds to the excluded coordinate 1\n"
-        )
+        for angle in NEAR_0_OR_1:
+            assert run(capsys, "twobridge", "4,3,2", "--omega", f"1/2,{angle}") == (
+                2, "", f"error: angle {angle} rounds to the excluded coordinate 1\n"
+            )
 
     def test_deterministic(self, capsys):
         _, out_a, _ = run(capsys, "twobridge", "8,2,4,3,6")
