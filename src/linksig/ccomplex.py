@@ -34,8 +34,9 @@ from .hermitian import exact_int, exact_int_rows
 SignPattern = tuple[int, ...]
 
 _HALF = Fraction(1, 2)
-#: The exact coordinates at 1/4, 1/2 and 3/4 turn; each zero part is +0.0, unlike that of -1j.
-_EXACT = {Fraction(1, 4): complex(0, 1), _HALF: complex(-1, 0), Fraction(3, 4): complex(0, -1)}
+#: The exact coordinates at 1/4, 1/2 and 3/4 turn, keyed on (numerator, denominator)
+#: because a Fraction does not cache its hash; each zero part is +0.0, unlike that of -1j.
+_EXACT = {(1, 4): complex(0, 1), (1, 2): complex(-1, 0), (3, 4): complex(0, -1)}
 #: Angles are ASCII p/q, q not 0, with an optional sign; an exponent form counts as decimal.
 _ANGLE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 _EXPONENT = re.compile(r"[+-]?[0-9]+[eE][+-]?[0-9]+")
@@ -81,7 +82,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 def torus_coordinate(q: Fraction) -> complex:
     """exp(2*pi*1j*q), exact at 1/4, 1/2 and 3/4; ``ValueError`` where float(q) is 0 or 1."""
-    if (value := _EXACT.get(q)) is not None:
+    if (value := _EXACT.get((q.numerator, q.denominator))) is not None:
         return value
     if not 0.0 < (turns := float(q)) < 1.0:
         raise ValueError(f"angle {q} rounds to the excluded coordinate 1")
@@ -228,10 +229,11 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
     expected = set(canonical_patterns(gss.mu))
     for pattern in sorted(expected - present, reverse=True):
         problems.append(f"missing matrix for canonical pattern '{pattern_to_string(pattern)}'")
-    for pattern in sorted(present - expected, reverse=True):
-        if not set(pattern) <= {1, -1}:
-            problems.append(f"pattern {pattern} has a sign other than +1 or -1")
-            continue
+    # Keys with another entry come first, in text order: their entries need not compare.
+    unsigned = sorted((p for p in present - expected if not set(p) <= {1, -1}), key=repr)
+    for pattern in unsigned:
+        problems.append(f"pattern {pattern} has a sign other than +1 or -1")
+    for pattern in sorted(present - expected - set(unsigned), reverse=True):
         label = pattern_to_string(pattern)
         if len(pattern) != gss.mu:
             problems.append(f"pattern '{label}' has length {len(pattern)}, expected {gss.mu}")

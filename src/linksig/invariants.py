@@ -47,7 +47,13 @@ from .ccomplex import (
     h_at_minus_ones,
     torus_coordinate,
 )
-from .hermitian import det_stack, hermitian_signature, inertia_stack, integer_symmetric_signature
+from .hermitian import (
+    det_stack,
+    hermitian_signature,
+    inertia_stack,
+    integer_inertia,
+    integer_symmetric_signature,
+)
 
 #: Bytes of complex matrices assembled and factorized at a time, which
 #: bounds a scan's working memory at any resolution.
@@ -186,7 +192,8 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
 
     Lines are classified arc by arc, as the module docstring says.
     With odd R the middle sample is its own conjugate and the all-1/2
-    point; its inertia is the exact one of :func:`h_at_minus_ones`.
+    point.  It is classified first, exactly, by :func:`integer_inertia` on
+    :func:`h_at_minus_ones`, and its |det H| comes from the same ``eigh``.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -200,8 +207,13 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     # An arc is a maximal run of free samples along a line.
     starts = free & ~np.pad(free, ((0, 0), (1, 0)))[:, :-1]
     ends = free & ~np.pad(free, ((0, 0), (0, 1)))[:, 1:]
-    direct = np.flatnonzero((~free | starts | ends).ravel()[:half])
-    _inertia(gss, axis, direct, positives, negatives, abs_det)
+    direct = (~free | starts | ends).ravel()[:half]
+    if resolution % 2:
+        # Always in ``direct``: near a root, or an arc end (the next sample is mirrored).
+        middle, abs_det[size // 2] = integer_inertia(h_at_minus_ones(gss))
+        positives[size // 2], negatives[size // 2] = middle.positives, middle.negatives
+        direct[size // 2] = False
+    _inertia(gss, axis, np.flatnonzero(direct), positives, negatives, abs_det)
     first, last = np.flatnonzero(starts), np.flatnonzero(ends)
     agree = (positives[first] == positives[last]) & (negatives[first] == negatives[last])
     agree &= positives[first] + negatives[first] == gss.rank
@@ -217,9 +229,6 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     _inertia(gss, axis, np.concatenate(redo), positives, negatives, abs_det)
     for values in (positives, negatives, abs_det):
         values[half:] = values[: size // 2][::-1]
-    if resolution % 2:
-        exact = integer_symmetric_signature(h_at_minus_ones(gss))
-        positives[size // 2], negatives[size // 2] = exact.positives, exact.negatives
     eta = gss.rank - positives - negatives
     return ScanGrid(
         resolution=resolution,

@@ -54,6 +54,42 @@ def full_family(system: GeneralizedSeifertSystem):
             yield pattern, np.asarray(system.matrices[tuple(-s for s in pattern)]).T
 
 
+def unit_lower(rng: np.random.Generator, n: int, density: float) -> np.ndarray:
+    """A unit lower triangular integer matrix, off-diagonal entries -1, 0, 1 at ``density``."""
+    entries = rng.integers(-1, 2, size=(n, n)) * (rng.random((n, n)) < density)
+    return np.eye(n, dtype=np.int64) + np.tril(entries, -1)
+
+
+def known_form(rng: np.random.Generator, n: int, hyperbolic: int):
+    """(form, sigma, eta): a symmetric integer form with even diagonal and known inertia.
+
+    The seeded forms of the benchmark's exact-inertia workload, drawn the same
+    way: ``P (L D L^T  (+)  [[0, M], [M^T, 0]]) P^T`` with ``P`` a permutation,
+    ``L`` unit lower triangular (so unimodular), ``D`` diagonal in {2, -2, 0}
+    with at least one 0, and ``M = U J V`` with ``U``, ``V`` unimodular and
+    ``J`` a 0/1 diagonal of rank ``r``.  The second block adds r positive, r
+    negative and ``hyperbolic - 2r`` zero eigenvalues.
+    """
+    m = hyperbolic // 2
+    k = n - 2 * m
+    d = rng.choice([2, -2, 0], size=k, p=[0.45, 0.45, 0.10])
+    d[rng.integers(k)] = 0
+    lower = unit_lower(rng, k, 0.5)
+    form = np.zeros((n, n), dtype=np.int64)
+    form[:k, :k] = lower @ np.diag(d) @ lower.T
+    sigma = int((d > 0).sum() - (d < 0).sum())
+    eta = int((d == 0).sum())
+    if m:
+        r = m - max(1, m // 8)
+        j = np.diag([1] * r + [0] * (m - r))
+        mm = unit_lower(rng, m, 0.5) @ j @ unit_lower(rng, m, 0.5).T
+        form[k:k + m, k + m:] = mm
+        form[k + m:, k:k + m] = mm.T
+        eta += 2 * (m - r)
+    perm = rng.permutation(n)
+    return form[np.ix_(perm, perm)], sigma, eta
+
+
 def random_torus_fractions(rng: np.random.Generator, mu: int):
     out = []
     for _ in range(mu):

@@ -121,6 +121,13 @@ class TestValidate:
             f"pattern {key} has a sign other than +1 or -1",
         ]
 
+    def test_keys_whose_entries_do_not_compare(self):
+        matrices = {(1, 1): [[0]], (1, -1): [[0]], (1, "a"): [[0]], (1, None): [[0]]}
+        assert validate(GeneralizedSeifertSystem(2, 1, matrices)) == [
+            "pattern (1, 'a') has a sign other than +1 or -1",
+            "pattern (1, None) has a sign other than +1 or -1",
+        ]
+
     def test_repr(self, example_system):
         assert repr(example_system) == "<GeneralizedSeifertSystem 'C(4,3,2)' mu=2 rank=2>"
         example_system.name = None

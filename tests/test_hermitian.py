@@ -1,17 +1,22 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import known_form, unit_lower
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linksig import hermitian
 from linksig.hermitian import (
+    CERTIFIED_MIN_RANK,
     SignatureResult,
     bordered_delta,
     exact_int,
     exact_int_rows,
     hermitian_signature,
+    integer_inertia,
     integer_symmetric_signature,
 )
 
@@ -388,3 +393,184 @@ def exact_forms(draw):
 @given(exact_forms())
 def test_matches_rational_oracle(m):
     assert integer_symmetric_signature(m) == rational_inertia(m)
+
+
+def certified(matrix):
+    """The inertia that integer_inertia's certificate decides, or None where it
+    would fall back to elimination."""
+    with mock.patch.object(hermitian, "_eliminate", lambda rows: None):
+        return integer_inertia(np.asarray(matrix))[0]
+
+
+def eliminated(matrix) -> SignatureResult:
+    return hermitian._eliminate(exact_int_rows(matrix))
+
+
+def near_singular(n: int) -> np.ndarray:
+    """[[n, n - 1], [n - 1, n - 2]]: determinant -1, eigenvalues about 2n and -1/(2n)."""
+    return np.array([[n, n - 1], [n - 1, n - 2]], dtype=np.int64)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Integer symmetric arrays for the certificate: dense, rank-deficient
+    products B D B^T, and blocks [[N, N - 1], [N - 1, N - 2]] with an
+    eigenvalue near -1/(2N), bordered by random entries; magnitudes up to
+    2^53 + 2, just past the exact float range."""
+    n = draw(st.integers(0, 10))
+    bound = draw(st.sampled_from([3, 2**20, 2**53 + 2]))
+    entry = st.integers(-bound, bound)
+    kind = draw(st.sampled_from(["dense", "product", "near_singular"]))
+    if kind == "product":
+        r = draw(st.integers(0, n))
+        b = np.array([[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(n)], dtype=object)
+        d = [draw(entry) for _ in range(r)]
+        m = b.reshape(n, r) @ np.diag(d).reshape(r, r).astype(object) @ b.reshape(n, r).T
+    else:
+        m = np.array([[draw(entry) for _ in range(n)] for _ in range(n)], dtype=object)
+        m = np.triu(m.reshape(n, n)) + np.triu(m.reshape(n, n), 1).T
+        if kind == "near_singular" and n >= 2:
+            m[:2, :2] = near_singular(draw(st.integers(2, 2**52)))
+    if max((abs(x) for x in m.flat), default=0) < 2**62:
+        m = m.astype(np.int64)
+    return m
+
+
+@settings(deadline=None, max_examples=400)
+@given(certificate_inputs())
+def test_certificate_agrees_with_elimination(m):
+    decided = certified(m)
+    assert decided is None or decided == eliminated(m)
+    assert integer_inertia(m)[0] == integer_symmetric_signature(m) == eliminated(m)
+
+
+class TestIntegerInertia:
+    def test_rank_zero(self):
+        empty = np.zeros((0, 0), dtype=np.int64)
+        assert integer_inertia(empty) == (SignatureResult(0, 0, 0, 0), 1.0)
+        assert certified(empty) == SignatureResult(0, 0, 0, 0)
+
+    def test_abs_det_is_the_eigenvalue_product(self):
+        m = np.array([[2, 1, 0], [1, -3, 1], [0, 1, 5]])
+        result, abs_det = integer_inertia(m)
+        assert result == SignatureResult(1, 0, 2, 1)
+        assert abs_det == pytest.approx(abs(round(np.linalg.det(m))), rel=1e-12)
+
+    def test_relative_eigenvalue_near_1e_12_is_decided(self):
+        # 1e6 and -1e-6: the radius, about 1.3e-9, still separates -1e-6 from zero.
+        m = near_singular(500_000)
+        assert certified(m) == eliminated(m) == SignatureResult(0, 0, 1, 1)
+
+    @pytest.mark.parametrize("n", [2**26, 2**52, 2**53])
+    def test_eigenvalue_below_the_radius_falls_back(self, n):
+        # -1/(2n) is lost in the rounding of eigh: elimination decides.
+        m = near_singular(n)
+        assert certified(m) is None
+        assert integer_inertia(m)[0] == SignatureResult(0, 0, 1, 1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_entries_beyond_2_53_go_to_elimination(self, sign):
+        # Equally well separated; only the exactness of the float copy differs.
+        edge = np.diag([sign * 2**53, 2**53, 2**53])
+        assert certified(edge) == eliminated(edge)
+        beyond = np.diag([sign * (2**53 + 1), 2**53, 2**53])
+        assert certified(beyond) is None
+        assert integer_inertia(beyond)[0] == eliminated(beyond)
+        # 2^53 + 1 has no float64: its copy would read 2^53.
+        assert float(2**53 + 1) == 2**53
+
+    def test_object_arrays_go_to_elimination(self):
+        m = np.array([[2**70, 0], [0, -1]], dtype=object)
+        assert certified(m) is None
+        assert integer_inertia(m)[0] == SignatureResult(0, 0, 1, 1)
+
+    def test_entries_beyond_float_range(self):
+        with pytest.raises(ValueError, match="beyond floating-point range"):
+            integer_inertia(np.array([[10**400]], dtype=object))
+
+    def test_nan_eigenvalue(self):
+        nan = (np.full(2, np.nan), np.eye(2))
+        with mock.patch.object(np.linalg, "eigh", lambda f: nan):
+            with pytest.raises(ValueError, match="eigenvalue computation returned NaN"):
+                integer_inertia(np.eye(2, dtype=np.int64))
+
+    def test_singular_forms_are_never_certified(self):
+        # Every B D B^T with fewer columns than rows is singular, so the
+        # certificate, which only ever reports nullity 0, must decline each.
+        rng = np.random.default_rng(2010)
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            r = int(rng.integers(0, n))
+            scale = int(rng.choice([1, 2**10, 2**20]))
+            b = rng.integers(-3, 4, size=(n, r))
+            m = b @ np.diag(rng.integers(-3, 4, size=r) * scale) @ b.T
+            assert certified(m) is None
+
+    def test_any_eigh_output_is_checked(self):
+        # The certificate trusts nothing of eigh.  A = [[N, N-1], [N-1, N-2]]
+        # has eigenvalues 2N and -1/(2N).  With v_0 = t(1, -1), A v_0 = t(1, 1)
+        # exactly, but fl(A v_0) rounds products near N t, so M^_00 comes out
+        # near +-t^2 where M_00 = 0.  Fed lam = diag(M^), the residual alone
+        # is below |lam|, and half the time M^_00 > 0 would pass for a second
+        # positive eigenvalue: only the rounding bound E of M^ stops that.
+        n = 2**52 + 12345
+        a = near_singular(n)
+        for t in np.random.default_rng(53).uniform(0.5, 2.0, 100):
+            v = np.array([[t, 2.0**-27], [-t, 2.0**-27]])
+            lam = np.diag(v.T @ (a.astype(float) @ v)).copy()
+            with mock.patch.object(np.linalg, "eigh", lambda f: (lam, v)):
+                assert certified(a) in (None, SignatureResult(0, 0, 1, 1))
+        # A singular V makes M singular, which the radius catches by itself.
+        v = np.ones((2, 2))
+        lam = np.diag(v.T @ (a.astype(float) @ v)).copy()
+        with mock.patch.object(np.linalg, "eigh", lambda f: (lam, v)):
+            assert certified(a) is None
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    def test_known_forms(self, seed):
+        # The benchmark's form sizes.  Each has eta > 0, so the certificate
+        # must decline, and elimination gives the known inertia.
+        rng = np.random.default_rng(seed)
+        for n, hyperbolic in [(56, 0), (48, 0), (40, 0), (56, 28), (48, 24)]:
+            form, sigma, eta = known_form(rng, n, hyperbolic)
+            assert certified(form) is None
+            result = integer_symmetric_signature(form)
+            assert (result.signature, result.nullity) == (sigma, eta)
+
+    def test_known_forms_without_nullity_are_certified(self):
+        # The same construction with D in {2, -2}: the smallest |eigenvalue|
+        # of these three is 0.22, 1.5e-3 and 1.3e-6.
+        rng = np.random.default_rng(2016)
+        for n in (8, 24, 56):
+            lower = unit_lower(rng, n, 0.5)
+            d = rng.choice([2, -2], size=n)
+            form = lower @ np.diag(d) @ lower.T
+            p = int((d > 0).sum())
+            assert certified(form) == SignatureResult(2 * p - n, 0, p, n - p)
+
+    def test_rejects_non_symmetric_at_the_certified_rank(self):
+        # eigh reads one triangle only, and an entry of 1 off it is well
+        # inside the eigenvalues' margin: only the symmetry check catches it.
+        m = np.diag(np.arange(CERTIFIED_MIN_RANK) + 100)
+        m[0, -1] = 1
+        message = f"not symmetric at \\(0, {CERTIFIED_MIN_RANK - 1}\\)"
+        with pytest.raises(ValueError, match=message):
+            integer_symmetric_signature(m)
+        with pytest.raises(ValueError, match="not symmetric"):
+            integer_inertia(m)
+
+    def test_route_switches_at_the_crossover_rank(self):
+        calls = []
+        route = mock.patch.object(
+            hermitian, "integer_inertia", lambda a: calls.append(len(a)) or integer_inertia(a)
+        )
+        with route:
+            for n in (CERTIFIED_MIN_RANK - 1, CERTIFIED_MIN_RANK):
+                m = np.diag(np.arange(n) - 2)
+                assert integer_symmetric_signature(m) == eliminated(m)
+                # Integral floats and object arrays keep to elimination at any rank.
+                assert integer_symmetric_signature(m.astype(float)) == eliminated(m)
+                assert integer_symmetric_signature(m.astype(object)) == eliminated(m)
+            # A list of ints, as bordered_delta passes it, is read as an integer array.
+            assert integer_symmetric_signature(m.tolist()) == eliminated(m)
+        assert calls == [CERTIFIED_MIN_RANK, CERTIFIED_MIN_RANK]

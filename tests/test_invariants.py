@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -48,13 +49,13 @@ def zero_system(mu=2, rank=3):
 
 @contextlib.contextmanager
 def count_factorizations(monkeypatch):
-    """Record the number of matrices of every eigvalsh and det call, per function."""
-    matrices = {"eigvalsh": [], "det": []}
+    """Record the number of matrices of every eigvalsh, eigh and det call, per function."""
+    matrices = {"eigvalsh": [], "eigh": [], "det": []}
     for name, calls in matrices.items():
         original = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda a, calls=calls, f=original: calls.append(len(a)) or f(a)
-        )
+        # A stack of N matrices counts N; one matrix counts 1.
+        count = lambda a, calls=calls, f=original: calls.append(math.prod(a.shape[:-2])) or f(a)
+        monkeypatch.setattr(np.linalg, name, count)
     try:
         yield matrices
     finally:
@@ -328,9 +329,11 @@ class TestTorusScan:
         with count_factorizations(monkeypatch) as matrices:
             grid = torus_scan(system, 15)
         # Both routes span several chunks, each at most CHUNK_BYTES of matrices.
-        for calls in matrices.values():
+        for calls in (matrices["eigvalsh"], matrices["det"]):
             assert len(calls) > 1 and max(calls) == per_chunk
-        assert sum(matrices["eigvalsh"] + matrices["det"]) == -(-(15**2) // 2)
+        # The middle sample, the all-1/2 point, takes one eigh of its own.
+        assert matrices["eigh"] == [1]
+        assert sum(sum(calls) for calls in matrices.values()) == -(-(15**2) // 2)
         for point, sigma, eta, abs_det, _ in scan_rows(grid):
             assert (sigma, eta) == signature_nullity(system, point)
             eigenvalues = np.linalg.eigvalsh(assemble_h(system, point))
@@ -341,8 +344,10 @@ class TestTorusScan:
             system = random_system(np.random.default_rng(mu), mu, 3)
             with count_factorizations(monkeypatch) as matrices:
                 torus_scan(system, resolution)
-            # One factorization per sample: eigvalsh, or an LU inside an arc.
-            assert sum(matrices["eigvalsh"] + matrices["det"]) == -(-(resolution**mu) // 2)
+            # One factorization per sample: eigvalsh, an LU inside an arc, or
+            # one eigh at the middle sample of an odd resolution.
+            assert matrices["eigh"] == [1] * (resolution % 2)
+            assert sum(sum(calls) for calls in matrices.values()) == -(-(resolution**mu) // 2)
         sigma = torus_scan(example_system, 5).sigma.reshape(5, 5)
         assert np.array_equal(sigma, sigma[::-1, ::-1])
         # conjugating one coordinate reverses that color: no symmetry

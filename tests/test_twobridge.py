@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from linksig import hermitian
 from linksig.bounds import ComponentInvariants, splitting_bound_multivariable
 from linksig.ccomplex import TorusPoint, h_at_minus_ones, validate
 from linksig.cli import main
@@ -17,6 +18,16 @@ from linksig.twobridge import (
 
 # A twist coefficient whose -floor(b/2) lies below the int64 range.
 OVERSIZE_B = "100000000000000000000000"
+
+# Rank-80 forms C(2a_1, b_1, ..., 2a_n), a_1 + ... + a_n = 81: the median
+# command of the benchmark's exact-inertia workload.
+RANK_80_FORMS = [
+    ",".join(map(str, pair * count + tail))
+    for pair, count, tail in [
+        ([4, 3], 40, [2]), ([2, 1], 80, [2]), ([6, 2], 26, [6]),
+        ([4, 1], 40, [2]), ([2, 3], 80, [2]), ([8, 2], 20, [2]),
+    ]
+]
 
 
 def all_forms(n_groups, values=(1, 2, 3, 4)):
@@ -189,6 +200,19 @@ class TestTheoremRoundTrip:
                 assert bound.value == s
                 checked += 1
         assert checked == 3 + 3 * 3 * 3
+
+    def test_rank_80_forms_take_the_certified_route(self, capsys, monkeypatch):
+        def no_elimination(rows):
+            raise AssertionError("elimination reached")
+
+        monkeypatch.setattr(hermitian, "_eliminate", no_elimination)
+        for text in RANK_80_FORMS:
+            form = ConwayForm.parse(text)
+            assert build_gss(form).rank == 80
+            s = predicted_splitting(form)
+            assert main(["twobridge", text]) == 0
+            out, err = capsys.readouterr()
+            assert (out, err) == (f"s={s} sigma={1 - s} eta=0 bound={s} sp={s} agree=yes\n", "")
 
     def test_vanishing_linking_family_bound(self):
         for a in (1, 2, 3, 4):
