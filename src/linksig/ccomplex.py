@@ -265,14 +265,15 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
 
 
 def assemble_stack(gss: GeneralizedSeifertSystem, values: np.ndarray) -> np.ndarray:
-    """H at many torus points at once.
+    """H at many torus points at once, exactly Hermitian.
 
     Row k of ``values`` holds the mu coordinates of point k on the unit
-    circle.  Returns the (N, n, n) stack of H: the (N, 2^mu) coefficients,
-    multiplied out coordinate by coordinate, contracted with the 2^mu
-    matrices A^eps stacked and flattened to shape (2^mu, n*n).  Only the
-    canonical half of each is built: -eps runs over the canonical patterns
-    backwards, and A^(-eps) = (A^eps)^T has the conjugate coefficient.
+    circle.  The (N, 2^(mu-1)) coefficients of the canonical patterns,
+    multiplied out coordinate by coordinate, are contracted with their
+    matrices A^eps flattened to shape (2^(mu-1), n*n) into C.  The other half
+    of the sum is C^H, as A^(-eps) = (A^eps)^T has the conjugate coefficient,
+    so H = C + C^H: entry (j, i) rounds to the conjugate of entry (i, j), and
+    the diagonal is real.
     """
     w = np.asarray(values, dtype=complex).T[:, None, :]
     if len(w) != gss.mu:
@@ -284,14 +285,16 @@ def assemble_stack(gss: GeneralizedSeifertSystem, values: np.ndarray) -> np.ndar
     coefficients = factors[0]
     for factor in factors[1:]:
         coefficients = coefficients * factor
-    coefficients = np.concatenate([coefficients, coefficients[::-1].conj()])
     try:
         stack = np.array([gss.matrices[p] for p in patterns], dtype=complex)
     except OverflowError as exc:
         raise ValueError(f"matrix entries beyond floating-point range: {exc}") from None
-    stack = np.concatenate([stack, stack[::-1].swapaxes(1, 2)])
-    flat = stack.reshape(2 * len(patterns), gss.rank * gss.rank)
-    return (coefficients.T @ flat).reshape(w.shape[-1], gss.rank, gss.rank)
+    flat = stack.reshape(len(patterns), gss.rank * gss.rank)
+    half = (coefficients.T @ flat).reshape(w.shape[-1], gss.rank, gss.rank)
+    # C^H is copied out contiguous first: a sum that reads C transposed is slow.
+    h = np.conjugate(half.swapaxes(1, 2), order="C")
+    h += half
+    return h
 
 
 def assemble_h(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Signature and nullity of Hermitian matrices.
 
-Two routes are provided.  ``hermitian_signature`` classifies the spectrum of
-a complex Hermitian matrix in floating point; the zero eigenvalue test uses
-the fixed relative tolerance ``DEFAULT_TOL``.  It is the one-matrix case of
-``inertia_stack``, which classifies a whole stack with one ``eigvalsh``
-call.  ``integer_symmetric_signature`` handles integer symmetric matrices
-exactly, so no tolerance enters at all.  From rank ``CERTIFIED_MIN_RANK`` on
+Two routes are provided.  ``inertia_stack`` classifies the spectra of a
+stack of exactly Hermitian matrices, such as ``assemble_stack`` builds, with
+one ``eigvalsh`` call; the zero eigenvalue test uses the fixed relative
+tolerance ``DEFAULT_TOL``.  It checks only that the entries are finite.
+``hermitian_signature`` is the checking entry point for one matrix of any
+origin: it rejects asymmetry beyond that tolerance and symmetrizes the rest
+before ``inertia_stack``.  ``integer_symmetric_signature`` handles integer
+symmetric matrices exactly, so no tolerance enters at all.  From rank ``CERTIFIED_MIN_RANK`` on
 it first tries ``integer_inertia``, which certifies the signs of one
 ``eigh``'s eigenvalues by congruence and a rigorous radius, and also gives
 |det| (a scan's all-1/2 middle sample takes both from it).  The rest goes to
@@ -53,37 +55,30 @@ def _square(matrix, dtype=None) -> np.ndarray:
     return a
 
 
-def _checked(stack):
-    """Each matrix's adjoint and zero threshold ``DEFAULT_TOL * max(1, max |entry|)``;
-    ``ValueError`` for a non-finite entry or asymmetry beyond the threshold."""
+def _threshold(stack):
+    """Each matrix's zero threshold ``DEFAULT_TOL * max(1, max |entry|)``;
+    ``ValueError`` for a non-finite entry."""
     scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
-    adjoint = stack.conj().swapaxes(-1, -2)
-    threshold = DEFAULT_TOL * np.maximum(1.0, scale)
-    if (np.abs(stack - adjoint).max(axis=(-2, -1), initial=0.0) > threshold).any():
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return adjoint, threshold
+    return DEFAULT_TOL * np.maximum(1.0, scale)
 
 
 def inertia_stack(stack):
-    """Inertia of every matrix in an (N, n, n) stack of Hermitian matrices.
+    """Inertia of every matrix in an (N, n, n) stack of exactly Hermitian matrices.
 
     Returns three length-N arrays: the counts of positive and of negative
     eigenvalues, and the product of the eigenvalue magnitudes (|det|), all
-    from one ``eigvalsh`` call.  Eigenvalues within a matrix's threshold
-    ``DEFAULT_TOL * max(1, max |entry|)`` count as zero.
+    from one ``eigvalsh`` call, which reads the lower triangle only.
+    Eigenvalues within a matrix's threshold ``DEFAULT_TOL * max(1, max |entry|)``
+    count as zero.
 
-    Raises ``ValueError`` for a non-finite entry, a matrix that violates
-    Hermitian symmetry beyond that threshold, or a NaN eigenvalue.
+    Raises ``ValueError`` for a non-finite entry or a NaN eigenvalue.
     """
-    adjoint, threshold = _checked(stack)
-    # Symmetrize to kill rounding asymmetry before the eigensolver; halving
-    # before adding keeps large finite entries from overflowing the sum.
-    eigenvalues = np.linalg.eigvalsh(0.5 * stack + 0.5 * adjoint)
+    threshold = _threshold(stack)[:, None]
+    eigenvalues = np.linalg.eigvalsh(stack)
     if np.isnan(eigenvalues).any():
         raise ValueError("eigenvalue computation returned NaN")
-    threshold = threshold[:, None]
     positives = (eigenvalues > threshold).sum(axis=1)
     negatives = (eigenvalues < -threshold).sum(axis=1)
     with np.errstate(over="ignore"):  # an overflowing |det| is reported as inf
@@ -91,9 +86,9 @@ def inertia_stack(stack):
 
 
 def det_stack(stack):
-    """Real determinants of a Hermitian stack from one LU, after the checks of
-    :func:`inertia_stack`; one beyond float range reads inf or NaN."""
-    _checked(stack)
+    """Real determinants of an exactly Hermitian stack from one LU, after the
+    finite check of :func:`inertia_stack`; one beyond float range reads inf or NaN."""
+    _threshold(stack)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.linalg.det(stack).real
 
@@ -108,7 +103,12 @@ def hermitian_signature(matrix) -> SignatureResult:
     matrix that is not Hermitian within that threshold.
     """
     a = _square(matrix, complex)
-    positives, negatives, _ = inertia_stack(a[None])
+    threshold, adjoint = _threshold(a), a.conj().T
+    if np.abs(a - adjoint).max(initial=0.0) > threshold:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    # Symmetrize to kill rounding asymmetry before the eigensolver; halving
+    # before adding keeps large finite entries from overflowing the sum.
+    positives, negatives, _ = inertia_stack((0.5 * a + 0.5 * adjoint)[None])
     p, q = int(positives[0]), int(negatives[0])
     return SignatureResult(p - q, a.shape[0] - p - q, p, q)
 
@@ -142,12 +142,6 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _float_exact(a: np.ndarray) -> bool:
-    """Whether ``a`` is a symmetric integer array whose float64 copy is exact."""
-    exact = a.dtype.kind in "iu" and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53)
-    return exact and bool((a == a.T).all())
-
-
 def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     """Exact inertia of an integer symmetric matrix A, and |det A| as the
     product of the eigenvalue magnitudes of one ``eigh``.
@@ -175,7 +169,9 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
         raise ValueError("eigenvalue computation returned NaN")
     with np.errstate(over="ignore"):  # an overflowing |det| is reported as inf
         abs_det = float(np.abs(lam).prod())
-    if _float_exact(a):
+    # A symmetric integer array whose float64 copy is exact.
+    exact = a.dtype.kind in "iu" and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53)
+    if exact and (a == a.T).all():
         n, u = len(a), 2.0**-53
         residual = v.T @ (f @ v)
         residual[np.diag_indices(n)] -= lam
@@ -195,25 +191,25 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
 def integer_symmetric_signature(matrix) -> SignatureResult:
     """Exact signature and nullity of an integer symmetric matrix.
 
-    An integer array of rank at least ``CERTIFIED_MIN_RANK`` and entries of
-    at most 2^53 goes through :func:`integer_inertia`.  Anything else, and
-    what its certificate leaves undecided, takes fraction-free elimination
-    on Python integers: row i of the working matrix is a positive multiple
-    of row i of the current Schur complement, so diagonal signs are exact
-    and no denominator is tracked.  A 1 x 1 step
-    pivots on the nonzero diagonal entry of least magnitude; with a zero
-    diagonal, a 2 x 2 step eliminates a hyperbolic block (one positive, one
-    negative eigenvalue); what is left when every entry is 0 is the nullity.
-    Only rows with a nonzero entry in the pivot columns are updated (O(n^2)
-    for tridiagonal forms), each then divided by its gcd.  A primitive row
-    divides its Schur-complement row times det A[K, K], whose entries are
-    the Bareiss minors det A[K+i, K+j] for pivot set K, so no entry exceeds
-    Hadamard's bound.
+    An integer array of rank at least ``CERTIFIED_MIN_RANK`` goes through
+    :func:`integer_inertia`, which certifies it if it is symmetric with
+    entries of at most 2^53.  Anything else, and what its certificate leaves
+    undecided, takes fraction-free elimination on Python integers: row i of
+    the working matrix is a positive multiple of row i of the current Schur
+    complement, so diagonal signs are exact and no denominator is tracked.
+    A 1 x 1 step pivots on the nonzero diagonal entry of least magnitude;
+    with a zero diagonal, a 2 x 2 step eliminates a hyperbolic block (one
+    positive, one negative eigenvalue); what is left when every entry is 0
+    is the nullity.  Only rows with a nonzero entry in the pivot columns are
+    updated (O(n^2) for tridiagonal forms), each then divided by its gcd.
+    A primitive row divides its Schur-complement row times det A[K, K],
+    whose entries are the Bareiss minors det A[K+i, K+j] for pivot set K, so
+    no entry exceeds Hadamard's bound.
 
     Raises ``ValueError`` for non-square, non-integer or non-symmetric input.
     """
     a = np.asarray(matrix)
-    if a.ndim == 2 and a.shape[0] == a.shape[1] >= CERTIFIED_MIN_RANK and _float_exact(a):
+    if a.ndim == 2 and a.shape[0] == a.shape[1] >= CERTIFIED_MIN_RANK and a.dtype.kind in "iu":
         return integer_inertia(a)[0]
     return _eliminate(exact_int_rows(matrix))
 

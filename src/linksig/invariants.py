@@ -27,7 +27,8 @@ integer entries), so H(conj omega) = conj(H(omega)), which has the same
 spectrum: sigma, eta and |det H| agree at the two points.  Conjugating every
 coordinate sends grid fraction k/(R+1) to (R+1-k)/(R+1), that is flat index
 i of the row-major grid to N-1-i.  Conjugating only some coordinates is no
-symmetry: it reverses the orientation of those colors.
+symmetry: it reverses the orientation of those colors.  The CSV likewise
+formats the sigma, eta and |det H| cells of each conjugate pair once.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .ccomplex import (
 )
 from .hermitian import (
     det_stack,
-    hermitian_signature,
     inertia_stack,
     integer_inertia,
     integer_symmetric_signature,
@@ -58,8 +58,8 @@ from .hermitian import (
 #: Bytes of complex matrices assembled and factorized at a time, which
 #: bounds a scan's working memory at any resolution.
 CHUNK_BYTES = 256 * 1024
-#: The pencil shift w0, an irrational turn; the reciprocal condition number
-#: of M = B - w0 B* below which a line's roots are not trusted; and the
+#: The pencil shift w0, an irrational turn; the reciprocal 1-norm condition
+#: number of M = B - w0 B* below which a line's roots are not trusted; and the
 #: |1 - |w|| below which a root is on the circle (a double one splits ~1e-8).
 _SHIFT, _MIN_RCOND, _ON_CIRCLE = np.exp(2j * np.pi * (3 - 5**0.5) / 2), 1e-8, 1e-3
 
@@ -132,9 +132,8 @@ def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int) -> 
             m = shifted / (1 - np.conj(_SHIFT))
             b_star = (halfway / 2 - m) / (_SHIFT + 1)
             good = np.isfinite(b_star).all(axis=(-2, -1))
-            singular = np.linalg.svd(m[good], compute_uv=False)
-            smallest, largest = singular.min(-1, initial=np.inf), singular.max(-1, initial=0.0)
-            good[good] = smallest > _MIN_RCOND * largest
+            if gss.rank:  # cond is not defined on 0 x 0 matrices
+                good[good] = np.linalg.cond(m[good], 1) * _MIN_RCOND < 1
             nu[good] = np.linalg.eigvals(np.linalg.solve(m[good], b_star[good]))
             z = _SHIFT * nu + 1  # the root is z / nu
             on_circle = np.abs(np.abs(z) - np.abs(nu)) < _ON_CIRCLE * np.abs(nu)
@@ -158,10 +157,11 @@ def signature_nullity(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> tuple
     """
     if omega.mu == gss.mu and omega.is_minus_ones():
         result = integer_symmetric_signature(h_at_minus_ones(gss))
-    else:
-        # assemble_h rejects a point with the wrong number of coordinates.
-        result = hermitian_signature(assemble_h(gss, omega))
-    return result.signature, result.nullity
+        return result.signature, result.nullity
+    # assemble_h rejects a point with the wrong number of coordinates.
+    positives, negatives, _ = inertia_stack(assemble_h(gss, omega)[None])
+    p, q = int(positives[0]), int(negatives[0])
+    return p - q, gss.rank - p - q
 
 
 def lt_signature_from_multivariable(
@@ -186,9 +186,8 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
 
     Only the first ceil(N/2) of the N = R^mu samples are classified; sample
     N-1-i is the joint conjugate of sample i and takes its values.  That
-    rests on every A^eps being real, which :func:`validate` guarantees; a
-    non-real A^eps would make H non-Hermitian, which :func:`inertia_stack`
-    rejects on the half that is computed.
+    rests on every A^eps being real, which the integer-entry check of
+    :func:`validate` guarantees.
 
     Lines are classified arc by arc, as the module docstring says.
     With odd R the middle sample is its own conjugate and the all-1/2
@@ -278,18 +277,18 @@ def scan_to_csv(grid: ScanGrid) -> str:
     labels = [f"{float(q):.12g}," for q in _axis(grid.resolution)]
     # The angles of all axes but the last, joined once per row prefix.
     prefixes = ["".join(p) for p in itertools.product(labels, repeat=grid.mu - 1)]
+    columns, size = (grid.sigma, grid.eta, grid.abs_det), grid.sigma.size
+    # Sample N-1-i of a scan mirrors sample i: format each conjugate pair once.
+    count = size - size // 2 if all(np.array_equal(c, c[::-1]) for c in columns) else size
     # %-formatting renders the same text as format(.12g), and faster.
-    rows = map(
-        "%s%s%d,%d,%.12g\n".__mod__,
-        zip(
-            itertools.chain.from_iterable(itertools.repeat(p, len(labels)) for p in prefixes),
-            itertools.cycle(labels),
-            grid.sigma.tolist(),
-            grid.eta.tolist(),
-            grid.abs_det.tolist(),
-        ),
+    cells = list(map("%d,%d,%.12g\n".__mod__, zip(*(c[:count].tolist() for c in columns))))
+    cells += cells[: size - count][::-1]
+    rows = zip(
+        itertools.chain.from_iterable(itertools.repeat(p, len(labels)) for p in prefixes),
+        itertools.cycle(labels),
+        cells,
     )
-    return "".join(itertools.chain([header], rows))
+    return "".join(itertools.chain([header], itertools.chain.from_iterable(rows)))
 
 
 def write_scan_csv(grid: ScanGrid, path) -> None:

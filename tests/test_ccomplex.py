@@ -10,6 +10,7 @@ from linksig.ccomplex import (
     GeneralizedSeifertSystem,
     TorusPoint,
     assemble_h,
+    assemble_stack,
     canonical_patterns,
     h_at_minus_ones,
     load_system,
@@ -207,7 +208,27 @@ class TestAssembly:
             system = random_system(rng, mu, rank)
             omega = TorusPoint(random_torus_fractions(rng, mu))
             h = assemble_h(system, omega)
-            assert np.abs(h - h.conj().T).max(initial=0.0) < 1e-12
+            assert np.array_equal(h, h.conj().T)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4])
+    def test_stack_is_exactly_hermitian_and_matches_the_full_family(self, mu):
+        rng = np.random.default_rng(100 + mu)
+        generic = [random_torus_fractions(rng, mu) for _ in range(40)]
+        quarters = [tuple(Fraction(int(k), 4) for k in rng.integers(1, 4, mu)) for _ in range(6)]
+        points = generic + quarters + [(Fraction(1, 2),) * mu]
+        values = np.array([TorusPoint(p).values() for p in points])
+        for rank in (0, 1, 2, 5, 9, 24):
+            system = random_system(rng, mu, rank)
+            h = assemble_stack(system, values)
+            assert h.shape == (len(points), rank, rank)
+            assert np.array_equal(h, h.conj().swapaxes(1, 2))
+            # A naive contraction over all 2^mu patterns of the full family.
+            naive = np.zeros_like(h)
+            for pattern, a in full_family(system):
+                factors = np.where(np.array(pattern) > 0, 1 - values.conj(), 1 - values)
+                naive += factors.prod(axis=1)[:, None, None] * a
+            scale = np.abs(naive).max(initial=1.0)
+            assert np.abs(h - naive).max(initial=0.0) <= 1e-12 * scale
 
     def test_exact_agrees_with_floating_at_half(self):
         rng = np.random.default_rng(9)

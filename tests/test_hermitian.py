@@ -13,9 +13,11 @@ from linksig.hermitian import (
     CERTIFIED_MIN_RANK,
     SignatureResult,
     bordered_delta,
+    det_stack,
     exact_int,
     exact_int_rows,
     hermitian_signature,
+    inertia_stack,
     integer_inertia,
     integer_symmetric_signature,
 )
@@ -195,6 +197,23 @@ class TestHermitianSignature:
     def test_near_hermitian_within_tol(self):
         m = np.array([[1.0, 1.0 + 1e-13], [1.0, 1.0]])
         hermitian_signature(m)  # must not raise
+
+
+class TestStacks:
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("kernel", [inertia_stack, det_stack])
+    def test_reject_non_finite(self, kernel, entry):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 1, 0] = stack[1, 0, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel(stack)
+
+    def test_inertia_and_det_of_a_hermitian_stack(self):
+        stack = np.array([[[2, 1j], [-1j, 2]], [[0, 1], [1, 0]], [[0, 0], [0, -1]]])
+        positives, negatives, abs_det = inertia_stack(stack)
+        assert positives.tolist() == [2, 1, 0] and negatives.tolist() == [0, 1, 1]
+        assert abs_det == pytest.approx([3, 1, 0])
+        assert det_stack(stack) == pytest.approx([3, -1, 0])
 
 
 class TestIntegerSymmetricSignature:

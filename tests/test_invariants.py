@@ -397,7 +397,28 @@ class TestEstimateBeta:
             estimate_beta(example_system, [])
 
 
+def reference_csv(grid):
+    """The scan CSV rendered row by row, every cell formatted on its own."""
+    axis = [f"{k / (grid.resolution + 1):.12g}" for k in range(1, grid.resolution + 1)]
+    lines = [",".join(f"theta_{i + 1}" for i in range(grid.mu)) + ",sigma,eta,absdet"]
+    columns = (grid.sigma.tolist(), grid.eta.tolist(), grid.abs_det.tolist())
+    for labels, sigma, eta, abs_det in zip(itertools.product(axis, repeat=grid.mu), *columns):
+        lines.append(",".join(labels) + f",{sigma},{eta},{abs_det:.12g}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvOutput:
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    @pytest.mark.parametrize("resolution", [1, 2, 5, 6])
+    def test_matches_the_row_by_row_renderer(self, mu, resolution):
+        grid = torus_scan(random_system(np.random.default_rng(mu), mu, 3), resolution)
+        assert scan_to_csv(grid) == reference_csv(grid)
+        # A grid that is not mirrored, built by hand, is formatted row by row.
+        abs_det = grid.abs_det.copy()
+        abs_det[0] += 1.0
+        unmirrored = ScanGrid(resolution, mu, grid.sigma, grid.eta, abs_det, grid.det_sign)
+        assert scan_to_csv(unmirrored) == reference_csv(unmirrored)
+
     def test_header_and_shape(self, example_system):
         grid = torus_scan(example_system, 2)
         text = scan_to_csv(grid)
