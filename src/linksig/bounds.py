@@ -21,10 +21,7 @@ from dataclasses import dataclass, field, replace
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .ccomplex import TorusPoint, record_field
-from .hermitian import exact_int, exact_int_rows
+from .ccomplex import TorusPoint, exact_int, exact_int_rows, record_field, shape_of
 
 
 @dataclass(frozen=True)
@@ -165,15 +162,15 @@ def _linking_pairs(linking, mu: int | None = None) -> tuple[int, list[tuple[int,
     ``ValueError`` for a ``mu`` below 1.
     """
     mu = None if mu is None else _positive_mu(mu)
-    lk = np.asarray(linking)
-    if lk.ndim == 2:
-        rows = exact_int_rows(lk)
+    shape = shape_of(linking)
+    if len(shape) == 2:
+        rows = exact_int_rows(linking)
         size = len(rows)
         if any(rows[i][j] != rows[j][i] for i in range(size) for j in range(i)):
             raise ValueError("linking matrix must be symmetric")
         values = [rows[i][j] for i in range(size) for j in range(i + 1, size)]
-    elif lk.ndim == 1:
-        values = [exact_int(v) for v in lk.tolist()]
+    elif len(shape) == 1 and not any(map(shape_of, linking)):  # not ragged rows
+        values = [exact_int(v) for v in linking]
     else:
         raise ValueError("linking data must be a square matrix or its upper triangle")
     if mu is None:  # the size whose upper triangle has len(values) entries, if any

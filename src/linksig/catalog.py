@@ -7,13 +7,14 @@ Every fixture carries its expected bound, and :func:`self_check`, the gate
 every CLI command passes, re-evaluates all of them once per process; a
 mismatch means the shipped data is corrupt.  A failure is not cached, so
 every later call raises again.  The shipped files are read once per process,
-and a lookup by name parses only the record it returns.
+and a lookup by name parses only the record it returns.  The gate reads and
+validates the shipped systems as Python lists and imports no numpy.
 
 :func:`resolve_system` reads a file named on the command line on every
 call, but parses and validates a system's text once while it is unchanged:
 the cache is keyed on the text alone, never on a path or a time stamp.
-Every call returns a fresh system over shared read-only arrays, and a
-failure is not cached.
+Every call returns a fresh system over read-only arrays, built once per
+validated system, and a failure is not cached.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import re
 from importlib import resources
 
-from . import bounds, ccomplex, twobridge
+from . import bounds, ccomplex
 
 _CONWAY_NAME = re.compile(r"^C\(([-0-9,\s]+)\)$")
 
@@ -98,18 +99,33 @@ def _checked(system: ccomplex.GeneralizedSeifertSystem) -> ccomplex.GeneralizedS
 def _validated(text: str) -> ccomplex.GeneralizedSeifertSystem:
     """The system in a record's JSON text, parsed and validated once per text.
 
-    Its arrays are read-only.  A failure raises and is not cached.
+    Its matrices are the parsed lists.  A failure raises and is not cached.
     """
-    system = _checked(ccomplex.system_from_dict(ccomplex.parse_record(text)))
-    for array in [*system.matrices.values(), system.linking]:
-        if array is not None:
-            array.setflags(write=False)
-    return system
+    return _checked(ccomplex.system_from_dict(ccomplex.parse_record(text)))
+
+
+@functools.lru_cache(maxsize=32)
+def _frozen(system: ccomplex.GeneralizedSeifertSystem) -> ccomplex.GeneralizedSeifertSystem:
+    """A validated system over read-only arrays, built once per cached system."""
+    import numpy as np
+
+    def read_only(value, size):
+        array = np.asarray(value).reshape(size, size)  # [] is a 0 x 0 matrix
+        array.setflags(write=False)
+        return array
+
+    return ccomplex.GeneralizedSeifertSystem(
+        system.mu,
+        system.rank,
+        {p: read_only(a, system.rank) for p, a in system.matrices.items()},
+        None if system.linking is None else read_only(system.linking, system.mu),
+        system.name,
+    )
 
 
 def _from_text(text: str) -> ccomplex.GeneralizedSeifertSystem:
-    """A fresh system over the cached read-only arrays of ``text``'s system."""
-    cached = _validated(text)
+    """A fresh system over the read-only arrays of ``text``'s validated system."""
+    cached = _frozen(_validated(text))
     return ccomplex.GeneralizedSeifertSystem(
         cached.mu, cached.rank, cached.matrices, cached.linking, copy.deepcopy(cached.name)
     )
@@ -132,6 +148,8 @@ def resolve_system(token: str) -> ccomplex.GeneralizedSeifertSystem:
     if token in _texts("systems"):
         return load_system(token)
     if match := _CONWAY_NAME.match(token.strip()):
+        from . import twobridge
+
         return _checked(twobridge.build_gss(twobridge.ConwayForm.parse(match.group(1))))
     raise ValueError(
         f"{token!r} is neither a file, a shipped system name, nor a Conway form C(...)"

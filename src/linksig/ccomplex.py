@@ -15,21 +15,27 @@ From this data the Hermitian matrix
 is assembled at any point omega of the torus with no coordinate equal to 1.
 Its signature and nullity are the multivariable link invariants consumed by
 the rest of the package.
+
+A system stores its matrices as given, nested lists or arrays alike, and
+:func:`validate` reads either as Python rows.  Only the functions that
+build arrays (:func:`assemble_stack`, :func:`assemble_h` and
+:func:`h_at_minus_ones`) import numpy, so reading and validating a system
+loads none.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, pi, sin
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
-
-from .hermitian import exact_int, exact_int_rows
+if TYPE_CHECKING:
+    import numpy as np
 
 SignPattern = tuple[int, ...]
 
@@ -40,6 +46,49 @@ _EXACT = {(1, 4): complex(0, 1), (1, 2): complex(-1, 0), (3, 4): complex(0, -1)}
 #: Angles are ASCII p/q, q not 0, with an optional sign; an exponent form counts as decimal.
 _ANGLE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 _EXPONENT = re.compile(r"[+-]?[0-9]+[eE][+-]?[0-9]+")
+
+
+def exact_int(value) -> int:
+    """``value`` as a Python int, provided it is exactly an integer.
+
+    Accepts integers (Python's and numpy's, which numpy registers as
+    ``numbers.Integral``), finite integral floats and complex values with
+    zero imaginary part.  Raises ``ValueError`` for booleans, fractions,
+    decimals, text, ``None``, non-finite and fractional values.
+    """
+    if type(value) is int:  # the common case, without an ABC check
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    # A Fraction is Real too, and has is_integer from Python 3.12 on.
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Rational):
+        if value.imag == 0 and value.real.is_integer():
+            return int(value.real)
+    raise ValueError(f"non-integer value {value!r}")
+
+
+def shape_of(value) -> tuple[int, ...]:
+    """The shape numpy reads in ``value``: an array's own, and nested lists
+    and tuples as deep as all their items agree (ragged rows stop one level up)."""
+    if hasattr(value, "shape"):
+        return tuple(value.shape)
+    if not isinstance(value, (list, tuple)):
+        return ()
+    shapes = set(map(shape_of, value))
+    return (len(value), *shapes.pop()) if len(shapes) == 1 else (len(value),)
+
+
+def exact_int_rows(matrix) -> list[list[int]]:
+    """The rows of a square matrix, nested lists or an array, as Python ints,
+    each read by :func:`exact_int`."""
+    shape = shape_of(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if hasattr(matrix, "tolist"):
+        if matrix.dtype.kind in "iu":  # an integer array lists Python ints
+            return matrix.tolist()
+        matrix = matrix.tolist()
+    return [list(map(exact_int, row)) for row in matrix]
 
 
 def canonical_patterns(mu: int) -> tuple[SignPattern, ...]:
@@ -142,21 +191,6 @@ class TorusPoint:
         return ",".join(str(q) for q in self.fractions)
 
 
-def _as_array(value) -> np.ndarray:
-    """``np.asarray(value)``, kept as Python objects when numpy refuses ragged
-    rows, or when a nested list holds a boolean: numpy would turn ``True``
-    among numbers into 1.  Either way :func:`validate` sees and reports it.
-    """
-    try:
-        array = np.asarray(value)
-    except ValueError:
-        return np.array(value, dtype=object)
-    if array.ndim == 2 and isinstance(value, list):
-        if any(isinstance(x, bool) for row in value for x in row):
-            return np.asarray(value, dtype=object)
-    return array
-
-
 class GeneralizedSeifertSystem:
     """A colored link given by its canonical family of Seifert matrices.
 
@@ -170,23 +204,19 @@ class GeneralizedSeifertSystem:
         linking numbers between colors; the diagonal is ignored.
     name: optional display name.
 
-    Construction is permissive: structural problems are reported by
-    :func:`validate`, not raised here, so that malformed files can be
-    loaded and diagnosed.
+    Construction is permissive: matrices and linking are stored as given,
+    and structural problems are reported by :func:`validate`, not raised
+    here, so that malformed files can be loaded and diagnosed.
     """
 
     def __init__(self, mu, rank, matrices, linking=None, name=None):
         self.mu = exact_int(mu)
         self.rank = exact_int(rank)
-        normalized = {}
-        for key, value in dict(matrices).items():
-            pattern = pattern_from_string(key) if isinstance(key, str) else tuple(key)
-            array = _as_array(value)
-            if array.size == 0:
-                array = array.reshape(0, 0)
-            normalized[pattern] = array
-        self.matrices = normalized
-        self.linking = None if linking is None else _as_array(linking)
+        self.matrices = {
+            pattern_from_string(key) if isinstance(key, str) else tuple(key): value
+            for key, value in dict(matrices).items()
+        }
+        self.linking = linking
         self.name = name
 
     def total_linking(self) -> int:
@@ -201,12 +231,12 @@ class GeneralizedSeifertSystem:
         return f"<GeneralizedSeifertSystem{label} mu={self.mu} rank={self.rank}>"
 
 
-def _integral(array: np.ndarray) -> bool:
+def _int_rows(matrix) -> list[list[int]] | None:
+    """:func:`exact_int_rows` of ``matrix``, or None if it is not square and integral."""
     try:
-        exact_int_rows(array)
+        return exact_int_rows(matrix)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def validate(gss: GeneralizedSeifertSystem) -> list[str]:
@@ -243,22 +273,23 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
     for pattern in sorted(expected & present, reverse=True):
         a = gss.matrices[pattern]
         label = pattern_to_string(pattern)
-        if a.ndim != 2 or a.shape != (gss.rank, gss.rank):
+        shape = shape_of(a)
+        if 0 in shape:  # any matrix without entries reads as 0 x 0
+            shape = (0, 0)
+        if shape != (gss.rank, gss.rank):
             problems.append(
-                f"matrix for pattern '{label}' has shape {a.shape}, expected "
+                f"matrix for pattern '{label}' has shape {shape}, expected "
                 f"({gss.rank}, {gss.rank})"
             )
-            continue
-        if not _integral(a):
+        elif gss.rank and _int_rows(a) is None:
             problems.append(f"matrix for pattern '{label}' has non-integer entries")
 
     if gss.linking is not None:
-        lk = gss.linking
-        if lk.shape != (gss.mu, gss.mu):
-            problems.append(f"linking matrix has shape {lk.shape}, expected ({gss.mu}, {gss.mu})")
-        elif not _integral(lk):
+        if (shape := shape_of(gss.linking)) != (gss.mu, gss.mu):
+            problems.append(f"linking matrix has shape {shape}, expected ({gss.mu}, {gss.mu})")
+        elif (lk := _int_rows(gss.linking)) is None:
             problems.append("linking matrix has non-integer entries")
-        elif not np.array_equal(lk, lk.T):
+        elif lk != [list(column) for column in zip(*lk)]:
             problems.append("linking matrix is not symmetric")
 
     return problems
@@ -275,6 +306,8 @@ def assemble_stack(gss: GeneralizedSeifertSystem, values: np.ndarray) -> np.ndar
     so H = C + C^H: entry (j, i) rounds to the conjugate of entry (i, j), and
     the diagonal is real.
     """
+    import numpy as np
+
     w = np.asarray(values, dtype=complex).T[:, None, :]
     if len(w) != gss.mu:
         raise ValueError(f"torus point has {len(w)} coordinates, system has {gss.mu} colors")
@@ -299,7 +332,7 @@ def assemble_stack(gss: GeneralizedSeifertSystem, values: np.ndarray) -> np.ndar
 
 def assemble_h(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> np.ndarray:
     """The Hermitian matrix H(omega) of the system at a torus point."""
-    return assemble_stack(gss, np.array([omega.values()]))[0]
+    return assemble_stack(gss, [omega.values()])[0]
 
 
 def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
@@ -310,6 +343,8 @@ def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
     when the largest entry proves that it cannot wrap, and in Python
     integers (an object array) otherwise.
     """
+    import numpy as np
+
     n = gss.rank
     matrices = [np.asarray(gss.matrices[p]) for p in canonical_patterns(gss.mu)]
     largest = max(

@@ -7,7 +7,8 @@ splitting-number computation for the even two-bridge family).
 
 Exit codes: 0 on success, 2 on input or parse errors, 3 on data-invariant
 violations.  Output is deterministic: identical invocations print
-byte-identical text.
+byte-identical text.  ``bound`` and the catalog gate run without numpy;
+``sig``, ``scan`` and ``twobridge`` import it when they run.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .bounds import (
 )
 from .catalog import CatalogError, InvalidSystem
 from .ccomplex import TorusPoint
-from .invariants import signature_nullity, torus_scan, write_scan_csv
-from .twobridge import ConwayForm, build_gss, predicted_splitting
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,19 +34,23 @@ EXIT_INVARIANT = 3
 
 
 def cmd_sig(args) -> int:
+    from . import invariants
+
     system = catalog.resolve_system(args.system)
     omega = TorusPoint.from_strings(args.omega.split(","))
-    sigma, eta = signature_nullity(system, omega)
+    sigma, eta = invariants.signature_nullity(system, omega)
     print(f"sigma={sigma} eta={eta}")
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
+    from . import invariants
+
     system = catalog.resolve_system(args.system)
     if system.mu > 3:
         raise ValueError(f"scan supports at most 3 colors, system has {system.mu}")
-    grid = torus_scan(system, args.res)
-    write_scan_csv(grid, args.out)
+    grid = invariants.torus_scan(system, args.res)
+    invariants.write_scan_csv(grid, args.out)
     print(f"rows={grid.sigma.size} min_eta={grid.min_eta} near_zero_det={grid.near_zero_count}")
     return EXIT_OK
 
@@ -129,16 +132,18 @@ def cmd_bound(args) -> int:
 
 
 def cmd_twobridge(args) -> int:
-    form = ConwayForm.parse(args.form)
-    system = build_gss(form)
-    sigma, eta = signature_nullity(system, TorusPoint.minus_ones(2))
-    s = predicted_splitting(form)
+    from . import invariants, twobridge
+
+    form = twobridge.ConwayForm.parse(args.form)
+    system = twobridge.build_gss(form)
+    sigma, eta = invariants.signature_nullity(system, TorusPoint.minus_ones(2))
+    s = twobridge.predicted_splitting(form)
     bound = splitting_bound_multivariable(2, sigma, eta, ComponentInvariants.unknots(2)).value
     agree = "yes" if bound == s else "no"
     lines = [f"s={s} sigma={sigma} eta={eta} bound={bound} sp={s} agree={agree}"]
     if args.omega:  # evaluated before anything is printed, so a bad point prints nothing
         omega = TorusPoint.from_strings(args.omega.split(","))
-        sig_o, eta_o = signature_nullity(system, omega)
+        sig_o, eta_o = invariants.signature_nullity(system, omega)
         lines.append(f"omega={omega} sigma={sig_o} eta={eta_o}")
     print("\n".join(lines))
     return EXIT_OK

@@ -27,6 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ccomplex import exact_int, exact_int_rows  # importable from here too
+
 #: Relative tolerance of the floating-point zero test; it is not a parameter.
 DEFAULT_TOL = 1e-9
 #: Rank from which :func:`integer_symmetric_signature` tries the certificate
@@ -111,30 +113,6 @@ def hermitian_signature(matrix) -> SignatureResult:
     positives, negatives, _ = inertia_stack((0.5 * a + 0.5 * adjoint)[None])
     p, q = int(positives[0]), int(negatives[0])
     return SignatureResult(p - q, a.shape[0] - p - q, p, q)
-
-
-def exact_int(value) -> int:
-    """``value`` as a Python int, provided it is exactly an integer.
-
-    Accepts Python and numpy integers, finite integral floats and complex
-    values with zero imaginary part.  Raises ``ValueError`` for booleans,
-    text, ``None``, non-finite and fractional values.
-    """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (complex, np.complexfloating)) and value.imag == 0:
-        value = value.real
-    if isinstance(value, (float, np.floating)) and value.is_integer():
-        return int(value)
-    raise ValueError(f"non-integer value {value!r}")
-
-
-def exact_int_rows(matrix) -> list[list[int]]:
-    """The rows of a square matrix as Python ints, each read by :func:`exact_int`."""
-    a = _square(matrix)
-    if a.dtype.kind in "iu":
-        return a.tolist()
-    return [[exact_int(value) for value in row] for row in a.tolist()]
 
 
 def _primitive(row: list[int]) -> list[int]:

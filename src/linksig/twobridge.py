@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccomplex import GeneralizedSeifertSystem
-from .hermitian import exact_int
+from .ccomplex import GeneralizedSeifertSystem, exact_int
 
 
 @dataclass(frozen=True)

@@ -167,9 +167,10 @@ class TestLinkingNumberBound:
             ([1], -3, "mu must be at least 1"),
             ([[0, 1, 2], [1, 0, 3]], None, r"expected a square matrix, got shape \(2, 3\)"),
             ([[[0]]], None, "linking data must be a square matrix or its upper triangle"),
+            ([[0, 1], [1]], None, "linking data must be a square matrix or its upper triangle"),
         ],
         ids=["flat-short", "matrix-too-small", "flat-not-triangular", "asymmetric", "mu-0",
-             "mu-negative", "non-square", "three-dimensional"],
+             "mu-negative", "non-square", "three-dimensional", "ragged"],
     )
     def test_malformed_linking_data(self, linking, mu, message):
         with pytest.raises(ValueError, match=message):
@@ -273,6 +274,10 @@ class TestUnlinkingBound:
         pytest.param(lambda: rank_obstruction(2.5, 0, []), id="rank-mu"),
         pytest.param(lambda: rank_obstruction(True, 0, []), id="rank-mu-bool"),
         pytest.param(lambda: linking_number_bound([1], mu=2.5), id="linking-mu"),
+        # A bool among the linking numbers is not read as 1.
+        pytest.param(lambda: linking_number_bound([[0, True], [True, 0]]), id="linking-bool"),
+        pytest.param(lambda: linking_number_bound([1, True, 1]), id="linking-bool-flat"),
+        pytest.param(lambda: unlinking_bound(2, 0, 0, [[0, True], [True, 0]]), id="unlink-bool"),
         pytest.param(lambda: ComponentInvariants(2, 2.5, 0), id="components-direct"),
         pytest.param(lambda: ConwayForm((4.7, 3, 2.9)), id="conway-float"),
         pytest.param(lambda: ConwayForm((4, True, 2)), id="conway-bool"),

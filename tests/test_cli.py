@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linksig import catalog, cli
+from linksig import catalog, invariants
 from linksig.cli import build_parser, main
 
 
@@ -306,7 +306,7 @@ class TestScan:
         def torus_scan(system, resolution):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "torus_scan", torus_scan)
+        monkeypatch.setattr(invariants, "torus_scan", torus_scan)
         out_path = tmp_path / "scan.csv"
         code, out, err = run(capsys, "scan", "C(4,3,2)", "--res", "100000", "--out", str(out_path))
         assert (code, out, err) == (2, "", f"error: {error}\n")

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -116,6 +117,10 @@ class TestExactInt:
             (float(2**60), 2**60),
             (complex(7, 0), 7),
             (np.complex128(-1 + 0j), -1),
+            (np.float16(2), 2),
+            (np.complex64(3), 3),
+            (np.int8(-1), -1),
+            (np.uint64(2**64 - 1), 2**64 - 1),
         ],
     )
     def test_accepts_exact_integers(self, value, expected):
@@ -125,7 +130,7 @@ class TestExactInt:
     @pytest.mark.parametrize(
         "value",
         [True, np.bool_(False), "1", None, 0.5, np.float64(-2.5), math.inf, -math.inf,
-         math.nan, complex(1, 1), complex(math.inf, 0), [1]],
+         math.nan, complex(1, 1), complex(math.inf, 0), [1], Fraction(3), Decimal(3)],
     )
     def test_rejects_everything_else(self, value):
         with pytest.raises(ValueError, match="non-integer"):

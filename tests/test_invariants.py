@@ -15,6 +15,7 @@ from linksig.ccomplex import (
     GeneralizedSeifertSystem,
     TorusPoint,
     assemble_h,
+    assemble_stack,
     h_at_minus_ones,
 )
 from linksig.hermitian import hermitian_signature, integer_symmetric_signature
@@ -321,6 +322,23 @@ class TestTorusScan:
         # Line 5 fixes omega_1 = 6/12, that is -1, where M has a zero row.
         near = invariants._near_roots(singular, axis, 11)
         assert near[5].all() and not near[4].all() and not near[6].all()
+
+    def test_ill_conditioned_shift_sends_its_line_to_eigvalsh(self, monkeypatch):
+        # S is symmetric with det -1, so M is nonsingular, but its 1-norm
+        # condition number is (2k + 3)^2, past the 1e8 that roots are trusted to.
+        k = 6000
+        s = [[k, k + 1], [k + 1, k + 2]]
+        system = GeneralizedSeifertSystem(1, 4, {"+": block_diag(TREFOIL, s)})
+        m = assemble_stack(system, [[invariants._SHIFT]])[0] / (1 - np.conj(invariants._SHIFT))
+        assert 1e8 < np.linalg.cond(m, 1) < 1e15
+        axis = np.exp(2j * np.pi * np.arange(1, 12) / 12)
+        assert invariants._near_roots(system, axis, 1).all()
+        with count_factorizations(monkeypatch) as matrices:
+            grid = torus_scan(system, 11)
+        assert matrices["det"] == []  # no sample is left to an arc's LU
+        # |det| of so ill-conditioned an H is good to about 1e-8 relative only.
+        for point, sigma, eta, _, _ in scan_rows(grid):
+            assert (sigma, eta) == signature_nullity(system, point), point
 
     def test_multi_chunk_scan_matches_pointwise(self, monkeypatch):
         system = random_system(np.random.default_rng(40), 2, 40)
