@@ -2,18 +2,18 @@
 
 Two routes are provided.  ``inertia_stack`` classifies the spectra of a
 stack of exactly Hermitian matrices, such as ``assemble_stack`` builds, with
-one ``eigvalsh`` call; the zero eigenvalue test uses the fixed relative
-tolerance ``DEFAULT_TOL``.  It checks only that the entries are finite.
+one ``eigvalsh`` call; it checks only that the entries are finite.
 ``hermitian_signature`` is the checking entry point for one matrix of any
-origin: it rejects asymmetry beyond that tolerance and symmetrizes the rest
-before ``inertia_stack``.  ``integer_symmetric_signature`` handles integer
-symmetric matrices exactly, so no tolerance enters at all.  From rank ``CERTIFIED_MIN_RANK`` on
-it first tries ``integer_inertia``, which certifies the signs of one
-``eigh``'s eigenvalues by congruence and a rigorous radius, and also gives
-|det| (a scan's all-1/2 middle sample takes both from it).  The rest goes to
-fraction-free elimination, whose primitive rows stay below the Bareiss
-minors.  The two routes must agree whenever both apply; the test suite leans
-on that.
+origin: it rejects asymmetry beyond the tolerance and symmetrizes the rest
+before ``inertia_stack``.  ``integer_symmetric_signature`` is exact.  From
+rank ``CERTIFIED_MIN_RANK`` on it first tries ``integer_inertia``, which
+certifies the signs of one ``eigh``'s eigenvalues by congruence and a
+rigorous radius and also gives |det| (a scan's all-1/2 middle sample takes
+both from it); what is left undecided goes to fraction-free elimination,
+whose primitive rows stay below the Bareiss minors.  Both eigenvalue routes
+count signs and |det| by one rule, ``_spectrum``, and differ only in the
+margin: the threshold ``DEFAULT_TOL * max(1, max |entry|)`` or the certified
+radius.  The routes must agree whenever both apply; the tests lean on that.
 
 ``bordered_delta`` measures how the signature and nullity react when a
 Hermitian matrix is enlarged by one bordering row/column.  Eigenvalue
@@ -66,6 +66,17 @@ def _threshold(stack):
     return DEFAULT_TOL * np.maximum(1.0, scale)
 
 
+def _spectrum(eigenvalues, margin):
+    """Counts of eigenvalues above ``margin`` and below ``-margin`` along the
+    last axis, and |det| as the product of their magnitudes (``inf`` when it
+    overflows); ``ValueError`` for a NaN eigenvalue."""
+    if np.isnan(eigenvalues).any():
+        raise ValueError("eigenvalue computation returned NaN")
+    with np.errstate(over="ignore", invalid="ignore"):  # fmax reads inf * 0 as 0
+        abs_det = np.fmax(np.abs(eigenvalues).prod(axis=-1), 0.0)
+    return (eigenvalues > margin).sum(axis=-1), (eigenvalues < -margin).sum(axis=-1), abs_det
+
+
 def inertia_stack(stack):
     """Inertia of every matrix in an (N, n, n) stack of exactly Hermitian matrices.
 
@@ -78,13 +89,7 @@ def inertia_stack(stack):
     Raises ``ValueError`` for a non-finite entry or a NaN eigenvalue.
     """
     threshold = _threshold(stack)[:, None]
-    eigenvalues = np.linalg.eigvalsh(stack)
-    if np.isnan(eigenvalues).any():
-        raise ValueError("eigenvalue computation returned NaN")
-    positives = (eigenvalues > threshold).sum(axis=1)
-    negatives = (eigenvalues < -threshold).sum(axis=1)
-    with np.errstate(over="ignore"):  # an overflowing |det| is reported as inf
-        return positives, negatives, np.abs(eigenvalues).prod(axis=1)
+    return _spectrum(np.linalg.eigvalsh(stack), threshold)
 
 
 def det_stack(stack):
@@ -143,14 +148,10 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
         lam, v = np.linalg.eigh(f := a.astype(float))
     except OverflowError:
         raise ValueError("matrix entries beyond floating-point range") from None
-    if np.isnan(lam).any():
-        raise ValueError("eigenvalue computation returned NaN")
-    with np.errstate(over="ignore"):  # an overflowing |det| is reported as inf
-        abs_det = float(np.abs(lam).prod())
     # A symmetric integer array whose float64 copy is exact.
     exact = a.dtype.kind in "iu" and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53)
+    n, u, radius = len(a), 2.0**-53, np.inf
     if exact and (a == a.T).all():
-        n, u = len(a), 2.0**-53
         residual = v.T @ (f @ v)
         residual[np.diag_indices(n)] -= lam
         residual = np.abs(residual)
@@ -160,10 +161,10 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
         # product here.  Underflow adds below (n^4 + n^1.5 ||V||_F) 2^-1074: less
         # than 2^-900 for n < 2^30 and ||V||_F < 2^100, and else far below the rest.
         radius = (1 + 4 * (n + 2) ** 2 * u) * (gap + (2 * n + 2) * u * spread) + 2.0**-900
-        if (np.abs(lam) > radius).all():
-            p = int((lam > 0).sum())
-            return SignatureResult(2 * p - n, 0, p, n - p), abs_det
-    return _eliminate(exact_int_rows(a)), abs_det
+    p, q, abs_det = _spectrum(lam, radius)
+    if p + q == n:
+        return SignatureResult(int(p - q), 0, int(p), int(q)), float(abs_det)
+    return _eliminate(exact_int_rows(a)), float(abs_det)
 
 
 def integer_symmetric_signature(matrix) -> SignatureResult:

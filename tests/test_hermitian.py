@@ -221,6 +221,43 @@ class TestStacks:
         assert det_stack(stack) == pytest.approx([3, -1, 0])
 
 
+def inertia_and_abs_det(kernel, matrix):
+    """(positives, negatives, |det|) of one integer matrix through one of the
+    two eigenvalue routes."""
+    if kernel is inertia_stack:
+        positives, negatives, abs_det = inertia_stack(matrix.astype(complex)[None])
+        return int(positives[0]), int(negatives[0]), float(abs_det[0])
+    result, abs_det = integer_inertia(matrix)
+    return result.positives, result.negatives, abs_det
+
+
+class TestSignRule:
+    """Both eigenvalue routes count signs and |det| by one rule."""
+
+    @pytest.mark.parametrize("kernel", [inertia_stack, integer_inertia])
+    def test_nan_eigenvalue(self, kernel):
+        nan = lambda f: np.full(f.shape[:-1], np.nan)
+        with mock.patch.object(np.linalg, "eigvalsh", nan), \
+                mock.patch.object(np.linalg, "eigh", lambda f: (nan(f), np.eye(len(f)))):
+            with pytest.raises(ValueError, match="eigenvalue computation returned NaN"):
+                inertia_and_abs_det(kernel, np.eye(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("kernel", [inertia_stack, integer_inertia])
+    def test_overflowing_abs_det_reads_inf(self, kernel):
+        # (2^50)^40 = 2^2000 is beyond float range; the warning filter of this
+        # suite turns any overflow warning into a failure.
+        assert inertia_and_abs_det(kernel, np.diag([2**50] * 40)) == (40, 0, math.inf)
+
+    @pytest.mark.parametrize("kernel", [inertia_stack, integer_inertia])
+    def test_zero_eigenvalue_after_an_overflow_reads_0(self, kernel):
+        # eigh sorts ascending, so the product overflows to inf before it
+        # meets the zero eigenvalue: inf * 0 would be NaN.  integer_inertia
+        # leaves this singular form to elimination, with the same |det|.
+        singular = np.diag([-(2**50)] * 40 + [0])
+        assert inertia_and_abs_det(kernel, singular) == (0, 40, 0.0)
+        assert integer_inertia(singular)[0] == SignatureResult(-40, 1, 0, 40)
+
+
 class TestIntegerSymmetricSignature:
     def test_example_matrix(self):
         result = integer_symmetric_signature([[-2, 1], [1, -6]])
@@ -511,12 +548,6 @@ class TestIntegerInertia:
     def test_entries_beyond_float_range(self):
         with pytest.raises(ValueError, match="beyond floating-point range"):
             integer_inertia(np.array([[10**400]], dtype=object))
-
-    def test_nan_eigenvalue(self):
-        nan = (np.full(2, np.nan), np.eye(2))
-        with mock.patch.object(np.linalg, "eigh", lambda f: nan):
-            with pytest.raises(ValueError, match="eigenvalue computation returned NaN"):
-                integer_inertia(np.eye(2, dtype=np.int64))
 
     def test_singular_forms_are_never_certified(self):
         # Every B D B^T with fewer columns than rows is singular, so the
