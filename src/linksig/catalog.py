@@ -8,13 +8,13 @@ every CLI command passes, re-evaluates all of them once per process; a
 mismatch means the shipped data is corrupt.  A failure is not cached, so
 every later call raises again.  The shipped files are read once per process,
 and a lookup by name parses only the record it returns.  The gate reads and
-validates the shipped systems as Python lists and imports no numpy.
+validates the shipped systems as Python lists, uncached, and imports no numpy.
 
 :func:`resolve_system` reads a file named on the command line on every
-call, but parses and validates a system's text once while it is unchanged:
-the cache is keyed on the text alone, never on a path or a time stamp.
-Every call returns a fresh system over read-only arrays, built once per
-validated system, and a failure is not cached.
+call, but parses, validates and freezes a system's text into read-only
+integer arrays once while it is unchanged: the one system cache is keyed on
+the text alone, never on a path or a time stamp.  Every call returns a fresh
+system over those arrays, and a failure is not cached.
 """
 
 from __future__ import annotations
@@ -97,35 +97,21 @@ def _checked(system: ccomplex.GeneralizedSeifertSystem) -> ccomplex.GeneralizedS
 
 @functools.lru_cache(maxsize=32)
 def _validated(text: str) -> ccomplex.GeneralizedSeifertSystem:
-    """The system in a record's JSON text, parsed and validated once per text.
-
-    Its matrices are the parsed lists.  A failure raises and is not cached.
-    """
-    return _checked(ccomplex.system_from_dict(ccomplex.parse_record(text)))
-
-
-@functools.lru_cache(maxsize=32)
-def _frozen(system: ccomplex.GeneralizedSeifertSystem) -> ccomplex.GeneralizedSeifertSystem:
-    """A validated system over read-only arrays, built once per cached system."""
-    import numpy as np
-
-    def read_only(value, size):
-        array = np.asarray(value).reshape(size, size)  # [] is a 0 x 0 matrix
-        array.setflags(write=False)
-        return array
-
-    return ccomplex.GeneralizedSeifertSystem(
-        system.mu,
-        system.rank,
-        {p: read_only(a, system.rank) for p, a in system.matrices.items()},
-        None if system.linking is None else read_only(system.linking, system.mu),
-        system.name,
-    )
+    """The system in a record's JSON text, parsed, validated and frozen into
+    read-only :func:`ccomplex.int_array` arrays once per text; a failure is not cached."""
+    system = _checked(ccomplex.system_from_dict(ccomplex.parse_record(text)))
+    system.matrices = {p: ccomplex.int_array(a) for p, a in system.matrices.items()}
+    if system.linking is not None:
+        system.linking = ccomplex.int_array(system.linking)
+    for array in [*system.matrices.values(), system.linking]:
+        if array is not None:
+            array.setflags(write=False)
+    return system
 
 
 def _from_text(text: str) -> ccomplex.GeneralizedSeifertSystem:
     """A fresh system over the read-only arrays of ``text``'s validated system."""
-    cached = _frozen(_validated(text))
+    cached = _validated(text)
     return ccomplex.GeneralizedSeifertSystem(
         cached.mu, cached.rank, cached.matrices, cached.linking, copy.deepcopy(cached.name)
     )
@@ -166,8 +152,9 @@ def resolve_fixture(token: str) -> dict:
 def self_check() -> None:
     """Re-evaluate every shipped entry, once per process; raise CatalogError on
     any mismatch or on a shipped record that cannot be read, built or validated.
-    A failure is not cached, so every call after one raises again.  A shipped
-    system that passes stays in the cache that :func:`resolve_system` reads."""
+    A failure is not cached, so every call after one raises again.  The
+    shipped systems are validated as Python lists, uncached: the gate imports
+    no numpy and adds nothing to the cache that :func:`resolve_system` reads."""
     problems = []
     for name, record in fixture_records().items():
         try:
@@ -180,7 +167,7 @@ def self_check() -> None:
             problems.append(f"fixture {name}: evaluates to {report.value}, expected {expected}")
     for name, text in _texts("systems").items():
         try:
-            _validated(text)
+            _checked(ccomplex.system_from_dict(ccomplex.parse_record(text)))
         except InvalidSystem as exc:
             problems.extend(f"system {name}: {problem}" for problem in exc.problems)
         except ValueError as exc:

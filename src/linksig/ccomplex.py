@@ -17,10 +17,10 @@ Its signature and nullity are the multivariable link invariants consumed by
 the rest of the package.
 
 A system stores its matrices as given, nested lists or arrays alike, and
-:func:`validate` reads either as Python rows.  Only the functions that
-build arrays (:func:`assemble_stack`, :func:`assemble_h` and
-:func:`h_at_minus_ones`) import numpy, so reading and validating a system
-loads none.
+:func:`validate` reads either as Python rows.  :func:`int_array` is the one
+exact reader of matrix data into an array; the float route
+(:func:`assemble_stack`) is the other.  Only the functions that build arrays
+import numpy, so reading and validating a system loads none.
 """
 
 from __future__ import annotations
@@ -89,6 +89,22 @@ def exact_int_rows(matrix) -> list[list[int]]:
             return matrix.tolist()
         matrix = matrix.tolist()
     return [list(map(exact_int, row)) for row in matrix]
+
+
+def int_array(matrix) -> np.ndarray:
+    """A square integer matrix as an array, read exactly: an integer array as it
+    is, anything else by :func:`exact_int_rows` into int64, or into Python ints
+    (an object array) beyond int64, never into floats.  A matrix without
+    entries reads as 0 x 0, as in :func:`validate`."""
+    import numpy as np
+
+    if hasattr(matrix, "dtype") and matrix.dtype.kind in "iu":
+        return matrix
+    rows = [] if 0 in shape_of(matrix) else exact_int_rows(matrix)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def canonical_patterns(mu: int) -> tuple[SignPattern, ...]:
@@ -339,28 +355,21 @@ def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
     """Exact integer H at omega = (-1, ..., -1).
 
     Every factor (1 - conj(omega_i)^eps_i) equals 2 there, so the value is
-    2^mu times the sum of the full matrix family.  The sum runs in int64
-    when the largest entry proves that it cannot wrap, and in Python
-    integers (an object array) otherwise.
+    2^mu times the sum of the full matrix family.  One loop adds each matrix,
+    read by :func:`int_array`, and its transpose: in int64 when the largest
+    entry proves that the sum cannot wrap, and in Python integers (an object
+    array) otherwise.
     """
     import numpy as np
 
-    n = gss.rank
-    matrices = [np.asarray(gss.matrices[p]) for p in canonical_patterns(gss.mu)]
-    largest = max(
-        (max(-exact_int(a.min()), exact_int(a.max())) for a in matrices if a.size), default=0
-    )
+    matrices = [int_array(gss.matrices[p]) for p in canonical_patterns(gss.mu)]
+    largest = max((max(-int(a.min()), int(a.max())) for a in matrices if a.size), default=0)
     # Every entry of the result is at most 2^mu * 2 * len(matrices) * largest.
-    if (largest * 2 * len(matrices)) << gss.mu <= np.iinfo(np.int64).max:
-        total = np.zeros((n, n), dtype=np.int64)
-        for a in matrices:
-            a = a.astype(np.int64)
-            total += a + a.T
-    else:
-        total = np.zeros((n, n), dtype=object)
-        for a in matrices:
-            a = np.array(exact_int_rows(a), dtype=object)
-            total += a + a.T
+    fits = (largest * 2 * len(matrices)) << gss.mu <= np.iinfo(np.int64).max
+    total = np.zeros((gss.rank, gss.rank), dtype=np.int64 if fits else object)
+    for a in matrices:
+        a = a.astype(total.dtype)
+        total += a + a.T
     return (2**gss.mu) * total
 
 

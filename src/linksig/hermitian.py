@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ccomplex import exact_int, exact_int_rows  # importable from here too
+from .ccomplex import exact_int, exact_int_rows, int_array  # importable from here too
 
 #: Relative tolerance of the floating-point zero test; it is not a parameter.
 DEFAULT_TOL = 1e-9
@@ -129,7 +129,8 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     """Exact inertia of an integer symmetric matrix A, and |det A| as the
     product of the eigenvalue magnitudes of one ``eigh``.
 
-    The certificate needs |entries| <= 2^53, so that the float copy is A.
+    A is read by :func:`int_array`, never as floats; the certificate needs
+    |entries| <= 2^53, so that the float copy is A.
     With ``lam, V = eigh(A)``, M = V^T A V is computed with error at most
     gamma_2n |V^T||A||V| (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 3.5), whose 2-norm is at most ||V||_F^2 ||A||_inf.
@@ -143,7 +144,7 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     an entry beyond floating-point range or a NaN eigenvalue raises
     ``ValueError``.
     """
-    a = _square(matrix)
+    a = _square(int_array(matrix))
     try:
         lam, v = np.linalg.eigh(f := a.astype(float))
     except OverflowError:
@@ -164,7 +165,7 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     p, q, abs_det = _spectrum(lam, radius)
     if p + q == n:
         return SignatureResult(int(p - q), 0, int(p), int(q)), float(abs_det)
-    return _eliminate(exact_int_rows(a)), float(abs_det)
+    return _eliminate(a.tolist()), float(abs_det)
 
 
 def integer_symmetric_signature(matrix) -> SignatureResult:

@@ -76,9 +76,8 @@ class ConwayForm:
 
     @classmethod
     def parse(cls, text: str) -> "ConwayForm":
-        items = [item.strip() for item in text.split(",") if item.strip()]
-        try:
-            coeffs = tuple(int(item) for item in items)
+        try:  # int() strips the spaces around a coefficient and rejects an empty one
+            coeffs = tuple(int(item) for item in text.split(","))
         except ValueError as exc:
             raise ValueError(f"invalid Conway form {text!r}: {exc}") from exc
         return cls(coeffs)

@@ -36,6 +36,16 @@ def example_system() -> GeneralizedSeifertSystem:
     )
 
 
+def write_mixed_system(path, one: str = "1.0"):
+    """A mu = 1 system file whose entry ``one`` sits next to k^2 = (2^27 + 1)^2,
+    which has no float64.  H(-1) = 4 [[1, k], [k, k^2]] is singular: sigma 1, eta 1."""
+    path.write_text(
+        f'{{"mu": 1, "rank": 2, "matrices": {{"+": [[{one}, 268435458], [0, 18014398777917441]]}}}}',
+        encoding="utf-8",
+    )
+    return path
+
+
 def random_system(rng: np.random.Generator, mu: int, rank: int, bound: int = 5):
     """A random generalized Seifert system with entries in [-bound, bound]."""
     matrices = {

@@ -9,7 +9,7 @@ from linksig.bounds import evaluate_fixture
 from linksig.ccomplex import validate
 from linksig.twobridge import ConwayForm, build_gss
 
-from conftest import system_document
+from conftest import system_document, write_mixed_system
 
 EXPECTED_BOUNDS = {
     "L9a29": 3,
@@ -257,15 +257,10 @@ class TestSystemCache:
         catalog.resolve_system(token)
         assert calls == {"system_from_dict": 1, "validate": 1}
 
-    def test_gate_leaves_the_shipped_system_validated(self, monkeypatch):
-        from linksig import ccomplex
-
+    def test_gate_caches_no_system(self):
+        catalog.self_check.cache_clear()  # run the gate's checks, not its cached pass
         catalog.self_check()
-        calls = []
-        build = ccomplex.system_from_dict
-        monkeypatch.setattr(ccomplex, "system_from_dict", lambda d: calls.append(1) or build(d))
-        assert catalog.resolve_system("C(4,3,2)").rank == 2
-        assert calls == []
+        assert catalog._validated.cache_info().currsize == 0
 
     def test_invalid_system_exits_3_on_every_call(self, tmp_path, capsys):
         from linksig.cli import main
@@ -282,8 +277,8 @@ class TestSystemCache:
             assert out == ""
             errors.append(err)
         assert errors == ["invariant violation: missing matrix for canonical pattern '+-'\n"] * 3
-        # The one entry is the shipped system that the catalog gate validated.
-        assert catalog._validated.cache_info().currsize == 1
+        # Failures are not cached, and the catalog gate caches nothing.
+        assert catalog._validated.cache_info().currsize == 0
 
     def test_crlf_json_error_matches_read_record(self, tmp_path, capsys):
         from linksig.ccomplex import read_record
@@ -321,6 +316,12 @@ class TestSystemCache:
         resolved.name = "renamed"
         resolved.matrices = {}
         assert system_document(catalog.resolve_system(path)) == expected
+
+    def test_integral_floats_freeze_as_integer_arrays(self, tmp_path):
+        resolved = catalog.resolve_system(str(write_mixed_system(tmp_path / "mixed.json")))
+        (array,) = resolved.matrices.values()
+        assert array.dtype.kind == "i" and not array.flags.writeable
+        assert array.tolist() == [[1, 268435458], [0, 18014398777917441]]
 
     def test_no_command_writes_into_a_resolved_system(self, tmp_path, capsys):
         """The arrays are read-only, so any write from ``src/`` would raise and exit 2."""

@@ -22,7 +22,13 @@ from linksig.ccomplex import (
 )
 from linksig.hermitian import hermitian_signature
 
-from conftest import full_family, random_system, random_torus_fractions, system_document
+from conftest import (
+    full_family,
+    random_system,
+    random_torus_fractions,
+    system_document,
+    write_mixed_system,
+)
 
 
 class TestSignPatterns:
@@ -263,6 +269,12 @@ class TestJsonFormat:
         system = system_from_dict({"mu": 2, "rank": 0, "matrices": {"++": [], "+-": []}})
         assert validate(system) == []
         assert h_at_minus_ones(system).shape == (0, 0)
+
+    def test_integral_floats_sum_exactly_at_minus_ones(self, tmp_path):
+        path = write_mixed_system(tmp_path / "mixed.json")
+        a = [[int(x) for x in row] for row in json.loads(path.read_text())["matrices"]["+"]]
+        exact = [[2 * (a[i][j] + a[j][i]) for j in range(2)] for i in range(2)]
+        assert h_at_minus_ones(load_system(path)).tolist() == exact
 
     def test_malformed_document(self):
         with pytest.raises(ValueError, match="malformed"):

@@ -9,6 +9,8 @@ import pytest
 from linksig import catalog, invariants
 from linksig.cli import build_parser, main
 
+from conftest import write_mixed_system
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -224,6 +226,11 @@ class TestSig:
         path = write_large_entry_system(tmp_path)
         assert run(capsys, "sig", str(path), "--omega", "1/3") == (0, "sigma=2 eta=0\n", "")
 
+    @pytest.mark.parametrize("one", ["1.0", "1"])
+    def test_integral_float_next_to_an_entry_beyond_2_53(self, capsys, tmp_path, one):
+        path = write_mixed_system(tmp_path / "mixed.json", one)
+        assert run(capsys, "sig", str(path), "--omega", "1/2") == (0, "sigma=1 eta=1\n", "")
+
     def test_nan_eigenvalue_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
         code, out, err = run(capsys, "sig", "C(4,3,2)", "--omega", "1/3,1/3")
@@ -275,6 +282,14 @@ class TestScan:
         assert (code, out) == (0, "rows=4 min_eta=0 near_zero_det=0\n")
         rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
         assert [row[1:3] for row in rows] == [["2", "0"]] * 4
+
+    @pytest.mark.parametrize("one", ["1.0", "1"])
+    def test_integral_float_next_to_an_entry_beyond_2_53(self, capsys, tmp_path, one):
+        path = write_mixed_system(tmp_path / "mixed.json", one)
+        out_path = tmp_path / "mixed.csv"
+        code, out, _ = run(capsys, "scan", str(path), "--res", "3", "--out", str(out_path))
+        assert (code, out) == (0, "rows=3 min_eta=1 near_zero_det=3\n")
+        assert out_path.read_text().splitlines()[2] == "0.5,1,1,0"
 
     def test_four_colors_rejected(self, capsys, tmp_path):
         path = write_zero_system(tmp_path, mu=4, rank=1)
@@ -640,6 +655,12 @@ class TestTwobridge:
         code, _, err = run(capsys, "twobridge", "4,3,1,3")
         assert code == 2
         assert "C(2a_1,b_1,...,2a_n)" in err
+
+    def test_empty_coefficient_exits_2(self, capsys):
+        for argv in [["twobridge", "4,,3,2"], ["sig", "C(4,3,2,)", "--omega", "1/2,1/2"]]:
+            form = argv[1].removeprefix("C(").removesuffix(")")
+            error = f"error: invalid Conway form '{form}': invalid literal for int() with base 10: ''"
+            assert run(capsys, *argv) == (2, "", error + "\n")
 
     def test_extra_omega_line(self, capsys):
         code, out, _ = run(capsys, "twobridge", "4,3,2", "--omega", "1/3,1/5")

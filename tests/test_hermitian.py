@@ -540,6 +540,11 @@ class TestIntegerInertia:
         # 2^53 + 1 has no float64: its copy would read 2^53.
         assert float(2**53 + 1) == 2**53
 
+    def test_integral_float_entries_are_read_exactly(self):
+        # 2 (2^27 + 1)^2 has no float64: a float copy would read a nonsingular matrix.
+        m = [[2.0, 268435458], [268435458, 36028797555834882]]
+        assert integer_inertia(m)[0] == integer_symmetric_signature(m) == SignatureResult(1, 1, 1, 0)
+
     def test_object_arrays_go_to_elimination(self):
         m = np.array([[2**70, 0], [0, -1]], dtype=object)
         assert certified(m) is None

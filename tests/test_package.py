@@ -38,12 +38,12 @@ def test_bound_commands_and_the_catalog_gate_load_no_numpy():
         "cli.main(['bound', 'split-lt', 'L9a29'])\n"
         "cli.main(['bound', 'linking', '--lk', '1'])\n"
         "catalog.self_check()\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, catalog._validated.cache_info().currsize)\n"
     )
     assert out == (
         "name=L9a29 formula=split-lt value=3 omega=1/2,1/2 total_lk=-1 lk_parity=odd\n"
         "formula=linking value=1 total_lk=1 lk_parity=odd\n"
-        "False\n"
+        "False 0\n"
     )
 
 

@@ -70,8 +70,9 @@ class TestConwayForm:
             ConwayForm.parse("-2")
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError, match="invalid"):
-            ConwayForm.parse("4,x,2")
+        for text in ["4,x,2", "4,,3,2", "4,3,2,"]:
+            with pytest.raises(ValueError, match=f"invalid Conway form '{text}'"):
+                ConwayForm.parse(text)
 
 
 class TestPredictedSplitting:
