@@ -145,6 +145,13 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(item)
 
 
+def parse_int(text: str) -> int:
+    """int(text) in ASCII digits only: int() alone also takes underscores and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def torus_coordinate(q: Fraction) -> complex:
     """exp(2*pi*1j*q), exact at 1/4, 1/2 and 3/4; ``ValueError`` where float(q) is 0 or 1."""
     if (value := _EXACT.get((q.numerator, q.denominator))) is not None:

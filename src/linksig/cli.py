@@ -26,7 +26,7 @@ from .bounds import (
     unlinking_bound,
 )
 from .catalog import CatalogError, InvalidSystem
-from .ccomplex import TorusPoint
+from .ccomplex import TorusPoint, parse_int
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -65,7 +65,7 @@ def _ints(flag: str, item: str, expects: str | None = None) -> list[int]:
     if expects and len(fields) != 2:
         raise ValueError(f"{expects}, got {item!r}")
     try:
-        return [int(field) for field in fields]
+        return [parse_int(field) for field in fields]
     except ValueError:
         raise ValueError(f"{flag} expects integers, got {item!r}") from None
 

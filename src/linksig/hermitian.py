@@ -92,14 +92,6 @@ def inertia_stack(stack):
     return _spectrum(np.linalg.eigvalsh(stack), threshold)
 
 
-def det_stack(stack):
-    """Real determinants of an exactly Hermitian stack from one LU, after the
-    finite check of :func:`inertia_stack`; one beyond float range reads inf or NaN."""
-    _threshold(stack)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.det(stack).real
-
-
 def hermitian_signature(matrix) -> SignatureResult:
     """Signature, nullity and inertia counts of a Hermitian matrix.
 

@@ -13,13 +13,13 @@ line's pencil (B, B*), so sigma and eta are constant on each arc between two
 roots.  ``eigvalsh`` classifies every sample within half a grid step of a
 root and both ends of every arc (a maximal run of the other samples).  An
 arc whose ends agree with eta = 0 hands their inertia to its interior, where
-a sample gets one LU determinant and goes to ``eigvalsh`` only if the sign
-disagrees; every sample of an arc whose ends disagree goes there too.
-|det H| is the LU magnitude inside arcs and the product of the eigenvalue
-magnitudes elsewhere (the last printed digit can differ).  The sign of the
-real determinant, (-1)^negatives, is 0 when the nullity is positive; its
-going through zero between neighbouring samples is the discrete trace of
-the zero locus, across which the signature may change.
+det H(w) = (1 - conj w)^n det M prod_i (1 - (w - w0) nu_i) over the pencil's
+eigenvalues nu, with M = B - w0 B* factored once per line; a sample goes to
+``eigvalsh`` when that product is not finite, not real or not of the arc's
+sign, and so does every sample of an arc whose ends disagree.  The sign of
+the real determinant, (-1)^negatives, is 0 when the nullity is positive; its
+going through zero between neighbouring samples is the discrete trace of the
+zero locus, across which the signature may change.
 
 A scan classifies only one point of each conjugate pair (omega, conj omega)
 and mirrors the other.  Every A^eps is a real matrix (``validate`` demands
@@ -48,20 +48,15 @@ from .ccomplex import (
     h_at_minus_ones,
     torus_coordinate,
 )
-from .hermitian import (
-    det_stack,
-    inertia_stack,
-    integer_inertia,
-    integer_symmetric_signature,
-)
+from .hermitian import inertia_stack, integer_inertia, integer_symmetric_signature
 
 #: Bytes of complex matrices assembled and factorized at a time, which
 #: bounds a scan's working memory at any resolution.
 CHUNK_BYTES = 256 * 1024
-#: The pencil shift w0, an irrational turn; the reciprocal 1-norm condition
-#: number of M = B - w0 B* below which a line's roots are not trusted; and the
-#: |1 - |w|| below which a root is on the circle (a double one splits ~1e-8).
-_SHIFT, _MIN_RCOND, _ON_CIRCLE = np.exp(2j * np.pi * (3 - 5**0.5) / 2), 1e-8, 1e-3
+#: The pencil shift w0, an irrational turn; the reciprocal 1-norm condition number of
+#: M = B - w0 B* below which a line's roots are not trusted; the |1 - |w|| below which a root
+#: is on the circle (a double one splits ~1e-8); and the largest |Im det H| / |det H| trusted.
+_SHIFT, _MIN_RCOND, _ON_CIRCLE, _REAL = np.exp(2j * np.pi * (3 - 5**0.5) / 2), 1e-8, 1e-3, 1e-8
 
 
 def _axis(resolution: int) -> list[Fraction]:
@@ -111,22 +106,25 @@ def _inertia(gss, axis, indices, positives, negatives, abs_det) -> None:
         positives[chunk], negatives[chunk], abs_det[chunk] = inertia_stack(stack)
 
 
-def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int) -> np.ndarray:
+def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int):
     """(lines, R) mask of the samples within half a grid step of a root of det H
     on their line (grid index j of the first mu - 1 coordinates), and of every
     sample of a line whose M is ill-conditioned or whose nu is not finite.
+    Then, per line, nu and slogdet(M) (phase, log|det M|), NaN where M fails the guard.
 
     On the line H(w) = (1 - conj w)(B - w B*), as every A^eps is real.  With
     M = H(w0) / (1 - conj w0) and B* = (H(-1) / 2 - M) / (w0 + 1), the roots
     of det H are w0 + 1/nu over the eigenvalues nu of M^-1 B*.
     """
     near = np.zeros((lines, len(axis)), dtype=bool)
+    nus = np.full((lines, gss.rank), np.nan, dtype=complex)
+    sign_m, log_m = np.full(lines, np.nan, dtype=complex), np.full(lines, np.nan)
     for index, heads in _chunks(gss, axis, np.arange(lines), gss.mu - 1):
         shifted, halfway = (
             assemble_stack(gss, np.column_stack((heads, np.full(len(index), w))))
             for w in (_SHIFT, -1.0)
         )
-        nu = np.full((len(index), gss.rank), np.nan, dtype=complex)
+        nu = nus[index[0] : index[-1] + 1]  # a view: the chunk's lines are consecutive
         # An overflow or an ill-conditioned M leaves its line's nu at NaN.
         with np.errstate(all="ignore"):
             m = shifted / (1 - np.conj(_SHIFT))
@@ -135,6 +133,7 @@ def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int) -> 
             if gss.rank:  # cond is not defined on 0 x 0 matrices
                 good[good] = np.linalg.cond(m[good], 1) * _MIN_RCOND < 1
             nu[good] = np.linalg.eigvals(np.linalg.solve(m[good], b_star[good]))
+            sign_m[index[good]], log_m[index[good]] = np.linalg.slogdet(m[good])
             z = _SHIFT * nu + 1  # the root is z / nu
             on_circle = np.abs(np.abs(z) - np.abs(nu)) < _ON_CIRCLE * np.abs(nu)
         near[index[~np.isfinite(nu).all(-1)]] = True
@@ -145,7 +144,18 @@ def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int) -> 
         for column in (np.ceil(position - 0.5), np.floor(position + 0.5)):
             inside = (column >= 0) & (column < len(axis))
             near[index[line[inside]], column[inside].astype(int)] = True
-    return near
+    return near, nus, sign_m, log_m
+
+
+def _pencil_det(nu, sign_m, log_m, axis, samples):
+    """det H = det M prod_i (1 - conj w)(1 - (w - w0) nu_i) at flat grid indices
+    ``samples``, by line: its phase, a unit complex, and log|det H|."""
+    line, w = samples // len(axis), axis[samples % len(axis)]
+    terms = np.take(nu.T, line, axis=1)  # (n, samples): the products run over rows
+    terms *= (1 - np.conj(w)) * (_SHIFT - w)
+    terms += 1 - np.conj(w)
+    terms /= (magnitude := np.abs(terms))
+    return terms.prod(0) * sign_m[line], np.log(magnitude, out=magnitude).sum(0) + log_m[line]
 
 
 def signature_nullity(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> tuple[int, int]:
@@ -189,10 +199,10 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     rests on every A^eps being real, which the integer-entry check of
     :func:`validate` guarantees.
 
-    Lines are classified arc by arc, as the module docstring says.
-    With odd R the middle sample is its own conjugate and the all-1/2
-    point.  It is classified first, exactly, by :func:`integer_inertia` on
-    :func:`h_at_minus_ones`, and its |det H| comes from the same ``eigh``.
+    Lines are classified arc by arc as the module docstring says, arc
+    interiors from the line's pencil.  With odd R the middle sample is its
+    own conjugate and the all-1/2 point, classified first, exactly, by
+    :func:`integer_inertia` on :func:`h_at_minus_ones`; its |det H| comes from the same ``eigh``.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -201,7 +211,8 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     positives, negatives, abs_det = np.empty(size, int), np.empty(size, int), np.empty(size)
     axis = np.array([torus_coordinate(q) for q in _axis(resolution)])
     half = size - size // 2
-    free = ~_near_roots(gss, axis, -(-half // resolution))
+    near, nu, sign_m, log_m = _near_roots(gss, axis, -(-half // resolution))
+    free = ~near
     free.ravel()[half:] = False  # the mirrored half
     # An arc is a maximal run of free samples along a line.
     starts = free & ~np.pad(free, ((0, 0), (1, 0)))[:, :-1]
@@ -221,10 +232,15 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     fill = agree[arc]
     filled, redo = interior[fill], [interior[~fill]]
     positives[filled], negatives[filled] = positives[first[arc[fill]]], negatives[first[arc[fill]]]
-    for chunk, values in _chunks(gss, axis, filled, gss.mu):
-        det = det_stack(assemble_stack(gss, values))
-        abs_det[chunk] = np.abs(det)
-        redo.append(chunk[np.sign(det) != 1 - 2 * (negatives[chunk] % 2)])
+    # Pencil bytes per sample: 24 n in (n, samples) arrays, 16 n of ufunc buffer, ~100 more.
+    step = max(1, CHUNK_BYTES // (48 * (gss.rank + 3)))
+    for chunk in (filled[start : start + step] for start in range(0, len(filled), step)):
+        with np.errstate(all="ignore"):
+            phase, log_abs = _pencil_det(nu, sign_m, log_m, axis, chunk)
+            abs_det[chunk] = np.exp(log_abs)
+        # det H is real, with the sign (-1)^negatives of the arc's ends.
+        signed = phase.real * (1 - 2 * (negatives[chunk] % 2)) > 0
+        redo.append(chunk[~(signed & (np.abs(phase.imag) <= _REAL) & np.isfinite(abs_det[chunk]))])
     _inertia(gss, axis, np.concatenate(redo), positives, negatives, abs_det)
     for values in (positives, negatives, abs_det):
         values[half:] = values[: size // 2][::-1]
@@ -272,7 +288,7 @@ def undetected_sigma_jumps(grid: ScanGrid) -> list[tuple[int, int]]:
 
 
 def scan_to_csv(grid: ScanGrid) -> str:
-    """Render a scan as CSV, angles in decimal with 12 significant digits."""
+    """Render a scan as CSV: angles with 12 significant digits, |det H| with 10."""
     header = ",".join(f"theta_{i + 1}" for i in range(grid.mu)) + ",sigma,eta,absdet\n"
     labels = [f"{float(q):.12g}," for q in _axis(grid.resolution)]
     # The angles of all axes but the last, joined once per row prefix.
@@ -280,8 +296,8 @@ def scan_to_csv(grid: ScanGrid) -> str:
     columns, size = (grid.sigma, grid.eta, grid.abs_det), grid.sigma.size
     # Sample N-1-i of a scan mirrors sample i: format each conjugate pair once.
     count = size - size // 2 if all(np.array_equal(c, c[::-1]) for c in columns) else size
-    # %-formatting renders the same text as format(.12g), and faster.
-    cells = list(map("%d,%d,%.12g\n".__mod__, zip(*(c[:count].tolist() for c in columns))))
+    # %-formatting renders the same text as format(.10g), and faster.
+    cells = list(map("%d,%d,%.10g\n".__mod__, zip(*(c[:count].tolist() for c in columns))))
     cells += cells[: size - count][::-1]
     rows = zip(
         itertools.chain.from_iterable(itertools.repeat(p, len(labels)) for p in prefixes),

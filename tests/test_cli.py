@@ -616,8 +616,11 @@ class TestBound:
             (["split-lt", "--mu", "2", "--sigma-l", "0", "--eta-l", "0", "--total-lk", "1",
               "--component", "0,0", "--component", "1,x"], "--component"),
             (["linking", "--lk", "1", "--nonsplit", "1,y"], "--nonsplit"),
+            # int() reads both as 10.
+            (["linking", "--lk", "1_0"], "--lk"),
+            (["linking", "--lk", "\u0661\u0660"], "--lk"),
         ],
-        ids=["lk", "component", "nonsplit"],
+        ids=["lk", "component", "nonsplit", "lk-underscore", "lk-arabic-indic"],
     )
     def test_malformed_integer_names_its_flag(self, capsys, argv, flag):
         code, out, err = run(capsys, "bound", *argv)
@@ -661,6 +664,13 @@ class TestTwobridge:
             form = argv[1].removeprefix("C(").removesuffix(")")
             error = f"error: invalid Conway form '{form}': invalid literal for int() with base 10: ''"
             assert run(capsys, *argv) == (2, "", error + "\n")
+
+    @pytest.mark.parametrize("form, token", [("4_0,3,2", "4_0"), ("\u0664,3,2", "\u0664")],
+                             ids=["underscore", "arabic-indic"])
+    def test_coefficient_that_int_would_read_exits_2(self, capsys, form, token):
+        # int() reads these as C(40,3,2) and C(4,3,2).
+        error = f"error: invalid Conway form {form!r}: invalid literal for int() with base 10: "
+        assert run(capsys, "twobridge", form) == (2, "", f"{error}{token!r}\n")
 
     def test_extra_omega_line(self, capsys):
         code, out, _ = run(capsys, "twobridge", "4,3,2", "--omega", "1/3,1/5")

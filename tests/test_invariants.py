@@ -2,6 +2,7 @@ import cmath
 import contextlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -50,17 +51,34 @@ def zero_system(mu=2, rank=3):
 
 @contextlib.contextmanager
 def count_factorizations(monkeypatch):
-    """Record the number of matrices of every eigvalsh, eigh and det call, per function."""
-    matrices = {"eigvalsh": [], "eigh": [], "det": []}
-    for name, calls in matrices.items():
-        original = getattr(np.linalg, name)
+    """Record the number of matrices of every eigvalsh, eigh and det call, and the
+    number of samples of every pencil evaluation (``_pencil_det``), per function."""
+    matrices = {}
+
+    def record(owner, name, size):
+        calls, original = matrices.setdefault(name, []), getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(size(a)) or original(*a))
+
+    for name in ("eigvalsh", "eigh", "det"):
         # A stack of N matrices counts N; one matrix counts 1.
-        count = lambda a, calls=calls, f=original: calls.append(math.prod(a.shape[:-2])) or f(a)
-        monkeypatch.setattr(np.linalg, name, count)
+        record(np.linalg, name, lambda a: math.prod(a[0].shape[:-2]))
+    record(invariants, "_pencil_det", lambda a: len(a[-1]))  # its points w
     try:
         yield matrices
     finally:
         monkeypatch.undo()
+
+
+def patch_near_roots(monkeypatch, near=lambda near: near, nu=lambda nu: nu):
+    """Pass the mask and the nu that ``_near_roots`` returns through ``near`` and
+    ``nu``; det M is kept."""
+    near_roots = invariants._near_roots
+
+    def patched(gss, axis, lines):
+        mask, pencil, *det_m = near_roots(gss, axis, lines)
+        return (near(mask), nu(pencil), *det_m)
+
+    monkeypatch.setattr(invariants, "_near_roots", patched)
 
 
 TREFOIL = np.array([[-1, 1], [0, -1]])
@@ -247,8 +265,8 @@ class TestTorusScan:
         system = random_system(np.random.default_rng(seed), mu, rank)
         assert_matches_pointwise_and_oracle(system, torus_scan(system, resolution))
 
-    def test_long_arcs_match_pointwise_and_oracle(self):
-        lu_samples = []
+    def test_long_arcs_match_pointwise_and_oracle(self, monkeypatch):
+        pencil_samples = []
 
         @settings(deadline=None, max_examples=20)
         @given(
@@ -262,14 +280,15 @@ class TestTorusScan:
         @example(mu=2, rank=6, resolution=16, seed=752843613)
         def check(mu, rank, resolution, seed):
             system = random_system(np.random.default_rng(seed), mu, rank)
-            with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det:
+            with count_factorizations(monkeypatch) as calls:
                 grid = torus_scan(system, resolution)
-            lu_samples.append(sum(len(call.args[0]) for call in det.call_args_list))
+            assert calls["det"] == []
+            pencil_samples.append(sum(calls["_pencil_det"]))
             assert_matches_pointwise_and_oracle(system, grid)
 
         check()
-        # The arc interiors really took the LU route, not only the fallback.
-        assert sum(n > 0 for n in lu_samples) >= len(lu_samples) // 2
+        # The arc interiors really took the pencil route, not only the fallback.
+        assert sum(n > 0 for n in pencil_samples) >= len(pencil_samples) // 2
 
     @pytest.mark.parametrize(
         "system, resolutions",
@@ -305,33 +324,59 @@ class TestTorusScan:
                                              "+-": block_diag(TREFOIL, TREFOIL).T}), 5),
             (GeneralizedSeifertSystem(1, 2, {"+": TREFOIL}), 10),
             (random_system(np.random.default_rng(5), 2, 4), 13),
+            # The line's ends agree, and only the pencil's sign shows the roots between.
+            (random_system(np.random.default_rng(6), 1, 4), 10),
         ],
-        ids=["root-at-arc-ends", "sign-flips-inside", "random"],
+        ids=["root-at-arc-ends", "sign-flips-inside", "random", "ends-agree-across-roots"],
     )
     def test_arc_checks_hold_when_every_root_is_missed(self, monkeypatch, system, resolution):
-        # Only the arc-end agreement and the LU sign check are left to catch
-        # what the missing roots would have split off.
-        monkeypatch.setattr(
-            invariants, "_near_roots", lambda gss, axis, lines: np.zeros((lines, len(axis)), bool)
-        )
+        # Only the arc-end agreement and the pencil's sign check are left to
+        # catch what the missing roots would have split off; nu is kept.
+        patch_near_roots(monkeypatch, near=np.zeros_like)
         assert_matches_pointwise_and_oracle(system, torus_scan(system, resolution))
+
+    @pytest.mark.parametrize(
+        "nu",
+        # Scaled, nu puts the roots w0 + 1/nu off the circle: the product is not real.
+        [lambda nu: 1.1 * nu, lambda nu: np.full_like(nu, np.inf)],
+        ids=["off-circle", "non-finite"],
+    )
+    def test_wrong_nu_sends_its_samples_to_eigvalsh(self, monkeypatch, nu):
+        system = random_system(np.random.default_rng(5), 2, 4)
+        patch_near_roots(monkeypatch, nu=nu)
+        with count_factorizations(monkeypatch) as calls:
+            grid = torus_scan(system, 13)
+        # Every sample the pencil evaluated is classified again by eigvalsh.
+        assert sum(calls["_pencil_det"]) > 0 and calls["det"] == []
+        assert sum(calls["eigvalsh"]) + sum(calls["eigh"]) == -(-(13**2) // 2)
+        assert_matches_pointwise_and_oracle(system, grid)
 
     def test_adversarial_pencils_take_the_intended_routes(self):
         axis = np.exp(2j * np.pi * np.arange(1, 12) / 12)
         double = GeneralizedSeifertSystem(1, 4, {"+": block_diag(TREFOIL, TREFOIL)})
         # Roots at 1/6 = 2/12 and 5/6 = 10/12: samples 2 and 10, from 1.
-        assert np.flatnonzero(invariants._near_roots(double, axis, 1)[0]).tolist() == [1, 9]
+        near, nu, *_ = invariants._near_roots(double, axis, 1)
+        assert np.flatnonzero(near[0]).tolist() == [1, 9]
+        # A double root twice: each is w0 + 1/nu for two eigenvalues nu.
+        turns = np.sort(np.angle(invariants._SHIFT + 1 / nu[0]) / (2 * np.pi) % 1)
+        assert turns == pytest.approx([1 / 6, 1 / 6, 5 / 6, 5 / 6], abs=1e-6)
         at_infinity = GeneralizedSeifertSystem(
             1, 4, {"+": block_diag(TREFOIL, [[0, 1], [0, 0]])}
         )
-        assert np.flatnonzero(invariants._near_roots(at_infinity, axis, 1)[0]).tolist() == [1, 9]
+        near, nu, *_ = invariants._near_roots(at_infinity, axis, 1)
+        assert np.flatnonzero(near[0]).tolist() == [1, 9]
+        # The root at infinity is nu = 0, a factor 1 of the pencil product.
+        assert np.isfinite(nu).all() and (np.abs(nu[0]) < 1e-12).sum() == 1
         singular = GeneralizedSeifertSystem(
             2, 3, {"++": block_diag([[1]], [[0, 0], [0, -2]]),
                    "+-": block_diag([[-1]], [[-1, 1], [0, -1]])}
         )
         # Line 5 fixes omega_1 = 6/12, that is -1, where M has a zero row.
-        near = invariants._near_roots(singular, axis, 11)
+        near, nu, sign_m, log_m = invariants._near_roots(singular, axis, 11)
         assert near[5].all() and not near[4].all() and not near[6].all()
+        # The guard leaves that line's nu and det M at NaN, and only that line's.
+        for values in (nu, sign_m, log_m):
+            assert np.flatnonzero(np.isnan(values).reshape(11, -1).any(1)).tolist() == [5]
 
     def test_ill_conditioned_shift_sends_its_line_to_eigvalsh(self, monkeypatch):
         # S is symmetric with det -1, so M is nonsingular, but its 1-norm
@@ -342,10 +387,13 @@ class TestTorusScan:
         m = assemble_stack(system, [[invariants._SHIFT]])[0] / (1 - np.conj(invariants._SHIFT))
         assert 1e8 < np.linalg.cond(m, 1) < 1e15
         axis = np.exp(2j * np.pi * np.arange(1, 12) / 12)
-        assert invariants._near_roots(system, axis, 1).all()
+        near, *pencil = invariants._near_roots(system, axis, 1)
+        assert near.all() and all(np.isnan(values).all() for values in pencil)
         with count_factorizations(monkeypatch) as matrices:
             grid = torus_scan(system, 11)
-        assert matrices["det"] == []  # no sample is left to an arc's LU
+        # No sample is left to an arc's pencil, and none gets an LU.
+        assert matrices["_pencil_det"] == matrices["det"] == []
+        assert sum(matrices["eigvalsh"]) + sum(matrices["eigh"]) == 6
         # |det| of so ill-conditioned an H is good to about 1e-8 relative only.
         for point, sigma, eta, _, _ in scan_rows(grid):
             assert (sigma, eta) == signature_nullity(system, point), point
@@ -356,25 +404,57 @@ class TestTorusScan:
         assert 1 < per_chunk < 15**2 // 2
         with count_factorizations(monkeypatch) as matrices:
             grid = torus_scan(system, 15)
-        # Both routes span several chunks, each at most CHUNK_BYTES of matrices.
-        for calls in (matrices["eigvalsh"], matrices["det"]):
-            assert len(calls) > 1 and max(calls) == per_chunk
-        # The middle sample, the all-1/2 point, takes one eigh of its own.
-        assert matrices["eigh"] == [1]
+        # eigvalsh spans several chunks, each at most CHUNK_BYTES of matrices.
+        assert len(matrices["eigvalsh"]) > 1 and max(matrices["eigvalsh"]) == per_chunk
+        # The middle sample, the all-1/2 point, takes one eigh of its own, and
+        # the arc interiors take the pencil.
+        assert matrices["eigh"] == [1] and matrices["det"] == [] and matrices["_pencil_det"]
         assert sum(sum(calls) for calls in matrices.values()) == -(-(15**2) // 2)
         for point, sigma, eta, abs_det, _ in scan_rows(grid):
             assert (sigma, eta) == signature_nullity(system, point)
             eigenvalues = np.linalg.eigvalsh(assemble_h(system, point))
             assert abs_det == pytest.approx(np.prod(np.abs(eigenvalues)), rel=1e-9)
 
+    def test_pencil_temporaries_stay_within_chunk_bytes(self, monkeypatch):
+        system = random_system(np.random.default_rng(40), 1, 40)
+        pencil_det, peaks = invariants._pencil_det, []
+
+        def measured(nu, sign_m, log_m, axis, samples):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = pencil_det(nu, sign_m, log_m, axis, samples)
+            # The chunk of samples counts too.
+            peaks.append(tracemalloc.get_traced_memory()[1] - start + samples.nbytes)
+            return result
+
+        monkeypatch.setattr(invariants, "_pencil_det", measured)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            grid = torus_scan(system, 601)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(peaks) > 1 and max(peaks) <= invariants.CHUNK_BYTES
+        assert_matches_pointwise_and_oracle(system, grid)
+
+    def test_one_sample_per_chunk_when_a_sample_exceeds_chunk_bytes(self, monkeypatch):
+        # As at a rank whose one matrix, or one sample's pencil terms, exceed CHUNK_BYTES.
+        monkeypatch.setattr(invariants, "CHUNK_BYTES", 1)
+        system = random_system(np.random.default_rng(5), 2, 4)
+        with count_factorizations(monkeypatch) as calls:
+            grid = torus_scan(system, 7)
+        assert set(calls["eigvalsh"]) == set(calls["_pencil_det"]) == {1}
+        assert_matches_pointwise_and_oracle(system, grid)
+
     def test_scan_classifies_one_point_per_conjugate_pair(self, monkeypatch, example_system):
         for mu, resolution in itertools.product((1, 2, 3), (1, 2, 5, 6)):
             system = random_system(np.random.default_rng(mu), mu, 3)
             with count_factorizations(monkeypatch) as matrices:
                 torus_scan(system, resolution)
-            # One factorization per sample: eigvalsh, an LU inside an arc, or
-            # one eigh at the middle sample of an odd resolution.
-            assert matrices["eigh"] == [1] * (resolution % 2)
+            # One evaluation per sample: eigvalsh, the pencil inside an arc, or
+            # one eigh at the middle sample of an odd resolution; no LU.
+            assert matrices["eigh"] == [1] * (resolution % 2) and matrices["det"] == []
             assert sum(sum(calls) for calls in matrices.values()) == -(-(resolution**mu) // 2)
         sigma = torus_scan(example_system, 5).sigma.reshape(5, 5)
         assert np.array_equal(sigma, sigma[::-1, ::-1])
@@ -447,7 +527,7 @@ def reference_csv(grid):
     lines = [",".join(f"theta_{i + 1}" for i in range(grid.mu)) + ",sigma,eta,absdet"]
     columns = (grid.sigma.tolist(), grid.eta.tolist(), grid.abs_det.tolist())
     for labels, sigma, eta, abs_det in zip(itertools.product(axis, repeat=grid.mu), *columns):
-        lines.append(",".join(labels) + f",{sigma},{eta},{abs_det:.12g}")
+        lines.append(",".join(labels) + f",{sigma},{eta},{abs_det:.10g}")
     return "\n".join(lines) + "\n"
 
 

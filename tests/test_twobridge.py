@@ -70,7 +70,7 @@ class TestConwayForm:
             ConwayForm.parse("-2")
 
     def test_rejects_garbage(self):
-        for text in ["4,x,2", "4,,3,2", "4,3,2,"]:
+        for text in ["4,x,2", "4,,3,2", "4,3,2,", "4_0,3,2", "\u0664,3,2"]:
             with pytest.raises(ValueError, match=f"invalid Conway form '{text}'"):
                 ConwayForm.parse(text)
 
