@@ -40,8 +40,9 @@ if TYPE_CHECKING:
 SignPattern = tuple[int, ...]
 
 _HALF = Fraction(1, 2)
-#: The exact coordinates at 1/4, 1/2 and 3/4 turn, keyed on (numerator, denominator)
-#: because a Fraction does not cache its hash; each zero part is +0.0, unlike that of -1j.
+#: The exact coordinates at 1/4, 1/2 and 3/4 turn, keyed on ``as_integer_ratio()``, which
+#: a float gives too and which spares hashing a Fraction (it does not cache its hash);
+#: each zero part is +0.0, unlike that of -1j.
 _EXACT = {(1, 4): complex(0, 1), (1, 2): complex(-1, 0), (3, 4): complex(0, -1)}
 #: Angles are ASCII p/q, q not 0, with an optional sign; an exponent form counts as decimal.
 _ANGLE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
@@ -152,9 +153,10 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def torus_coordinate(q: Fraction) -> complex:
-    """exp(2*pi*1j*q), exact at 1/4, 1/2 and 3/4; ``ValueError`` where float(q) is 0 or 1."""
-    if (value := _EXACT.get((q.numerator, q.denominator))) is not None:
+def torus_coordinate(q: Fraction | float) -> complex:
+    """exp(2*pi*1j*q) for q turns, a fraction or a float, exact at 1/4, 1/2 and 3/4;
+    ``ValueError`` where float(q) is 0 or 1."""
+    if (value := _EXACT.get(q.as_integer_ratio())) is not None:
         return value
     if not 0.0 < (turns := float(q)) < 1.0:
         raise ValueError(f"angle {q} rounds to the excluded coordinate 1")

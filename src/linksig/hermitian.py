@@ -6,14 +6,18 @@ one ``eigvalsh`` call; it checks only that the entries are finite.
 ``hermitian_signature`` is the checking entry point for one matrix of any
 origin: it rejects asymmetry beyond the tolerance and symmetrizes the rest
 before ``inertia_stack``.  ``integer_symmetric_signature`` is exact.  From
-rank ``CERTIFIED_MIN_RANK`` on it first tries ``integer_inertia``, which
-certifies the signs of one ``eigh``'s eigenvalues by congruence and a
-rigorous radius and also gives |det| (a scan's all-1/2 middle sample takes
-both from it); what is left undecided goes to fraction-free elimination,
-whose primitive rows stay below the Bareiss minors.  Both eigenvalue routes
-count signs and |det| by one rule, ``_spectrum``, and differ only in the
-margin: the threshold ``DEFAULT_TOL * max(1, max |entry|)`` or the certified
-radius.  The routes must agree whenever both apply; the tests lean on that.
+rank ``CERTIFIED_MIN_RANK`` on it takes up to three steps.  A form whose
+diagonal is strictly one-signed first gets one Cholesky factorization of a
+shifted copy, whose residual, rigorously bounded, certifies it definite.
+What that leaves undecided goes to ``integer_inertia``, which certifies the
+signs of one ``eigh``'s eigenvalues by congruence and a rigorous radius and
+also gives |det| (a scan's all-1/2 middle sample takes both from it).  What
+is still undecided goes to fraction-free elimination, whose primitive rows
+stay below the Bareiss minors.  Both certificates bound their residuals by
+one rule, ``_radius``.  Both eigenvalue routes count signs and |det| by one
+rule, ``_spectrum``, and differ only in the margin: the threshold
+``DEFAULT_TOL * max(1, max |entry|)`` or the certified radius.  The routes
+must agree whenever both apply; the tests lean on that.
 
 ``bordered_delta`` measures how the signature and nullity react when a
 Hermitian matrix is enlarged by one bordering row/column.  Eigenvalue
@@ -31,9 +35,12 @@ from .ccomplex import exact_int, exact_int_rows, int_array  # importable from he
 
 #: Relative tolerance of the floating-point zero test; it is not a parameter.
 DEFAULT_TOL = 1e-9
-#: Rank from which :func:`integer_symmetric_signature` tries the certificate
-#: of :func:`integer_inertia` before elimination, which is faster below it
-#: (both take about 50 us at rank 10 on an x86-64 box, one BLAS thread).
+#: Rank from which :func:`integer_symmetric_signature` tries its floating-point
+#: certificates before elimination, which is faster below it.  On an x86-64
+#: box with one BLAS thread, elimination takes 3.9 us at rank 2 and 13-16 us at
+#: rank 5, where each certificate takes 26-29 us.  At rank 10 elimination takes
+#: 36 us on a definite tridiagonal 4T and 72 us on a dense indefinite form, the
+#: Cholesky certificate 27 us and the eigh certificate 32-35 us.
 CERTIFIED_MIN_RANK = 10
 
 
@@ -117,6 +124,67 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
+def _exact_symmetric(a: np.ndarray) -> bool:
+    """Whether ``a`` is a symmetric integer array whose float64 copy is exact."""
+    exact = a.dtype.kind in "iu" and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53)
+    return exact and bool((a == a.T).all())
+
+
+def _gap(residual: np.ndarray) -> float:
+    """The larger absolute row or column sum of ``residual``, a bound on its 2-norm."""
+    residual = np.abs(residual)
+    return max(residual.sum(0).max(initial=0.0), residual.sum(1).max(initial=0.0))
+
+
+def _radius(n: int, gap: float, spread) -> float:
+    """A bound r >= ||X||_2 on an n x n matrix X computed as a float residual.
+
+    ``gap`` is the residual's :func:`_gap`.  The residual holds X up to one
+    rounding per entry and the error of matrix products of inner length at
+    most 2n, which is at most gamma_2n ||P||_2 for the product P of their
+    absolute factors (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 3.5), given ``spread`` >= ||P||_2.  The sum is inflated over its
+    own rounding and underflow (Rump, Acta Numerica 19, 2010).
+    """
+    u = 2.0**-53
+    # (2n + 2)u >= gamma_2n, and the factor covers every rounded sum and
+    # product here.  Underflow adds below (n^4 + n^1.5 ||V||_F) 2^-1074 to the
+    # V^T A V of integer_inertia and below n^4 2^-1074 to the LL^T of _definite:
+    # less than 2^-900 for n < 2^30 and ||V||_F < 2^100, and else far below the rest.
+    return (1 + 4 * (n + 2) ** 2 * u) * (gap + (2 * n + 2) * u * spread) + 2.0**-900
+
+
+def _definite(a: np.ndarray) -> SignatureResult | None:
+    """The inertia of an integer array ``a`` that one Cholesky factorization
+    certifies definite, or None.
+
+    Only a strictly one-signed diagonal (sign s) can belong to a definite
+    form, and ``a`` must be symmetric with a float64 copy that is exact.  The
+    shift c is twice the radius of a zero residual with the trace of sA as
+    its spread.  With L = cholesky(fl(sA - cI)), the residual is
+    LL^T - fl(sA - cI), and its spread is ||L||_F^2 >= || |L||L^T| ||_2 plus
+    the largest fl(sa_ii - c), which covers the rounding of the shift.  If the
+    radius r is below c, then sA = LL^T + cI - X with ||X||_2 <= r < c.  LL^T
+    is positive semidefinite for any L, so every eigenvalue of sA is at least
+    c - r > 0.  Nothing of ``cholesky`` is trusted.
+    """
+    diagonal = np.diagonal(a)
+    sign = 1 if diagonal.min() > 0 else -1 if diagonal.max() < 0 else 0
+    if not sign or not _exact_symmetric(a):
+        return None
+    n = len(a)
+    b = sign * a.astype(float)
+    shift = 2 * _radius(n, 0.0, b.trace())
+    b[np.diag_indices(n)] -= shift
+    try:
+        l = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return None
+    if not _radius(n, _gap(l @ l.T - b), np.vdot(l, l) + np.diagonal(b).max()) < shift:
+        return None
+    return SignatureResult(sign * n, 0, n * (sign > 0), n * (sign < 0))
+
+
 def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     """Exact inertia of an integer symmetric matrix A, and |det A| as the
     product of the eigenvalue magnitudes of one ``eigh``.
@@ -124,11 +192,9 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     A is read by :func:`int_array`, never as floats; the certificate needs
     |entries| <= 2^53, so that the float copy is A.
     With ``lam, V = eigh(A)``, M = V^T A V is computed with error at most
-    gamma_2n |V^T||A||V| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 3.5), whose 2-norm is at most ||V||_F^2 ||A||_inf.
-    That plus the larger absolute row or column sum of M^ - diag(lam),
-    inflated over its own rounding and underflow (Rump, Acta Numerica 19,
-    2010), is a radius r >= ||M - diag(lam)||_2.  By Weyl's inequality each
+    gamma_2n |V^T||A||V|, whose 2-norm is at most ||V||_F^2 ||A||_inf.  From
+    that and the computed M^ - diag(lam), :func:`_radius` gives a radius
+    r >= ||M - diag(lam)||_2.  By Weyl's inequality each
     eigenvalue of M is within r of its lam.  If every |lam| > r, M is
     nonsingular, hence so are V and A, and by Sylvester's law of inertia
     the signs of lam are the inertia of A.  Anything else goes to the
@@ -141,19 +207,11 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
         lam, v = np.linalg.eigh(f := a.astype(float))
     except OverflowError:
         raise ValueError("matrix entries beyond floating-point range") from None
-    # A symmetric integer array whose float64 copy is exact.
-    exact = a.dtype.kind in "iu" and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53)
-    n, u, radius = len(a), 2.0**-53, np.inf
-    if exact and (a == a.T).all():
+    n, radius = len(a), np.inf
+    if _exact_symmetric(a):
         residual = v.T @ (f @ v)
         residual[np.diag_indices(n)] -= lam
-        residual = np.abs(residual)
-        gap = max(residual.sum(0).max(initial=0.0), residual.sum(1).max(initial=0.0))
-        spread = np.vdot(v, v) * np.abs(f).sum(1).max(initial=0.0)
-        # (2n + 2)u >= gamma_2n, and the factor covers every rounded sum and
-        # product here.  Underflow adds below (n^4 + n^1.5 ||V||_F) 2^-1074: less
-        # than 2^-900 for n < 2^30 and ||V||_F < 2^100, and else far below the rest.
-        radius = (1 + 4 * (n + 2) ** 2 * u) * (gap + (2 * n + 2) * u * spread) + 2.0**-900
+        radius = _radius(n, _gap(residual), np.vdot(v, v) * np.abs(f).sum(1).max(initial=0.0))
     p, q, abs_det = _spectrum(lam, radius)
     if p + q == n:
         return SignatureResult(int(p - q), 0, int(p), int(q)), float(abs_det)
@@ -163,12 +221,15 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
 def integer_symmetric_signature(matrix) -> SignatureResult:
     """Exact signature and nullity of an integer symmetric matrix.
 
-    An integer array of rank at least ``CERTIFIED_MIN_RANK`` goes through
-    :func:`integer_inertia`, which certifies it if it is symmetric with
-    entries of at most 2^53.  Anything else, and what its certificate leaves
-    undecided, takes fraction-free elimination on Python integers: row i of
-    the working matrix is a positive multiple of row i of the current Schur
-    complement, so diagonal signs are exact and no denominator is tracked.
+    An integer array of rank at least ``CERTIFIED_MIN_RANK`` that is
+    symmetric with entries of at most 2^53 may be certified in floating
+    point, in two steps.  If its diagonal is strictly one-signed, one checked
+    Cholesky factorization may certify it definite (``_definite``).  Else, or
+    if that declines, :func:`integer_inertia` may certify it by one ``eigh``.
+    Anything else, and what both certificates leave undecided, takes
+    fraction-free elimination on Python integers: row i of the working
+    matrix is a positive multiple of row i of the current Schur complement,
+    so diagonal signs are exact and no denominator is tracked.
     A 1 x 1 step pivots on the nonzero diagonal entry of least magnitude;
     with a zero diagonal, a 2 x 2 step eliminates a hyperbolic block (one
     positive, one negative eigenvalue); what is left when every entry is 0
@@ -182,7 +243,7 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
     """
     a = np.asarray(matrix)
     if a.ndim == 2 and a.shape[0] == a.shape[1] >= CERTIFIED_MIN_RANK and a.dtype.kind in "iu":
-        return integer_inertia(a)[0]
+        return _definite(a) or integer_inertia(a)[0]
     return _eliminate(exact_int_rows(matrix))
 
 

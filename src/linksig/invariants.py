@@ -59,8 +59,9 @@ CHUNK_BYTES = 256 * 1024
 _SHIFT, _MIN_RCOND, _ON_CIRCLE, _REAL = np.exp(2j * np.pi * (3 - 5**0.5) / 2), 1e-8, 1e-3, 1e-8
 
 
-def _axis(resolution: int) -> list[Fraction]:
-    return [Fraction(k, resolution + 1) for k in range(1, resolution + 1)]
+def _axis(resolution: int) -> list[float]:
+    """The grid fractions k/(R+1), k = 1..R, each correctly rounded, as float(Fraction) rounds."""
+    return [k / (resolution + 1) for k in range(1, resolution + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +210,7 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     size = resolution**gss.mu
     # Allocated before any work, so that an impossible R^mu fails at once.
     positives, negatives, abs_det = np.empty(size, int), np.empty(size, int), np.empty(size)
-    axis = np.array([torus_coordinate(q) for q in _axis(resolution)])
+    axis = np.array([torus_coordinate(turns) for turns in _axis(resolution)])
     half = size - size // 2
     near, nu, sign_m, log_m = _near_roots(gss, axis, -(-half // resolution))
     free = ~near
@@ -290,7 +291,7 @@ def undetected_sigma_jumps(grid: ScanGrid) -> list[tuple[int, int]]:
 def scan_to_csv(grid: ScanGrid) -> str:
     """Render a scan as CSV: angles with 12 significant digits, |det H| with 10."""
     header = ",".join(f"theta_{i + 1}" for i in range(grid.mu)) + ",sigma,eta,absdet\n"
-    labels = [f"{float(q):.12g}," for q in _axis(grid.resolution)]
+    labels = [f"{turns:.12g}," for turns in _axis(grid.resolution)]
     # The angles of all axes but the last, joined once per row prefix.
     prefixes = ["".join(p) for p in itertools.product(labels, repeat=grid.mu - 1)]
     columns, size = (grid.sigma, grid.eta, grid.abs_det), grid.sigma.size

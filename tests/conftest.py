@@ -64,6 +64,17 @@ def full_family(system: GeneralizedSeifertSystem):
             yield pattern, np.asarray(system.matrices[tuple(-s for s in pattern)]).T
 
 
+#: The rank-80 two-bridge Conway forms of the benchmark's exact-inertia workload,
+#: C(4,3,4,3,...,4,3,2) and five like it; H(-1,-1) = 4T is negative definite for each.
+TWOBRIDGE_FORMS = tuple(
+    ",".join(map(str, pair * count + tail))
+    for pair, count, tail in [
+        ([4, 3], 40, [2]), ([2, 1], 80, [2]), ([6, 2], 26, [6]),
+        ([4, 1], 40, [2]), ([2, 3], 80, [2]), ([8, 2], 20, [2]),
+    ]
+)
+
+
 def unit_lower(rng: np.random.Generator, n: int, density: float) -> np.ndarray:
     """A unit lower triangular integer matrix, off-diagonal entries -1, 0, 1 at ``density``."""
     entries = rng.integers(-1, 2, size=(n, n)) * (rng.random((n, n)) < density)

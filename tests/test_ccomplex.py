@@ -79,12 +79,19 @@ class TestTorusPoint:
     def test_quarter_turns_exact(self):
         assert TorusPoint.of(Fraction(1, 4)).values() == (1j,)
         assert TorusPoint.of(Fraction(3, 4)).values() == (-1j,)
-        # Every zero part is +0.0; the real part of -1j would be -0.0.
+        # Every zero part is +0.0; the real part of -1j would be -0.0.  A float
+        # number of turns, as a scan's axis passes it, is read the same way.
         for q, expected in [("1/4", (0.0, 1.0)), ("1/2", (-1.0, 0.0)), ("3/4", (0.0, -1.0))]:
-            w = torus_coordinate(Fraction(q))
-            assert [(x, math.copysign(1.0, x)) for x in (w.real, w.imag)] == [
-                (x, math.copysign(1.0, x)) for x in expected
-            ]
+            for turns in (Fraction(q), float(Fraction(q))):
+                w = torus_coordinate(turns)
+                assert [(x, math.copysign(1.0, x)) for x in (w.real, w.imag)] == [
+                    (x, math.copysign(1.0, x)) for x in expected
+                ]
+
+    @pytest.mark.parametrize("turns", [Fraction(10**20 - 1, 10**20), 1.0, 0.0])
+    def test_coordinate_rounding_to_1_is_rejected(self, turns):
+        with pytest.raises(ValueError, match="rounds to the excluded coordinate 1"):
+            torus_coordinate(turns)
 
     def test_generic_value_on_unit_circle(self):
         (w,) = TorusPoint.from_strings(["1/6"]).values()

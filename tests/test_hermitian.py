@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import known_form, unit_lower
+from conftest import TWOBRIDGE_FORMS, known_form, unit_lower
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linksig import hermitian
+from linksig.ccomplex import h_at_minus_ones
 from linksig.hermitian import (
     CERTIFIED_MIN_RANK,
     SignatureResult,
@@ -21,6 +22,7 @@ from linksig.hermitian import (
     integer_inertia,
     integer_symmetric_signature,
 )
+from linksig.twobridge import ConwayForm, build_gss
 
 
 def _swap_symmetric(a: list[list[Fraction]], i: int, j: int) -> None:
@@ -454,6 +456,11 @@ def test_matches_rational_oracle(m):
     assert integer_symmetric_signature(m) == rational_inertia(m)
 
 
+def counted(name):
+    """Patch ``np.linalg.<name>`` with a mock that records its calls and passes them on."""
+    return mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name))
+
+
 def certified(matrix):
     """The inertia that integer_inertia's certificate decides, or None where it
     would fall back to elimination."""
@@ -587,13 +594,16 @@ class TestIntegerInertia:
     @pytest.mark.parametrize("seed", [7, 31])
     def test_known_forms(self, seed):
         # The benchmark's form sizes.  Each has eta > 0, so the certificate
-        # must decline, and elimination gives the known inertia.
+        # must decline, and elimination gives the known inertia.  None has a
+        # one-signed diagonal, so none is offered to Cholesky.
         rng = np.random.default_rng(seed)
         for n, hyperbolic in [(56, 0), (48, 0), (40, 0), (56, 28), (48, 24)]:
             form, sigma, eta = known_form(rng, n, hyperbolic)
             assert certified(form) is None
-            result = integer_symmetric_signature(form)
+            with counted("cholesky") as cholesky:
+                result = integer_symmetric_signature(form)
             assert (result.signature, result.nullity) == (sigma, eta)
+            assert cholesky.call_count == 0
 
     def test_known_forms_without_nullity_are_certified(self):
         # The same construction with D in {2, -2}: the smallest |eigenvalue|
@@ -607,28 +617,138 @@ class TestIntegerInertia:
             assert certified(form) == SignatureResult(2 * p - n, 0, p, n - p)
 
     def test_rejects_non_symmetric_at_the_certified_rank(self):
-        # eigh reads one triangle only, and an entry of 1 off it is well
-        # inside the eigenvalues' margin: only the symmetry check catches it.
-        m = np.diag(np.arange(CERTIFIED_MIN_RANK) + 100)
-        m[0, -1] = 1
-        message = f"not symmetric at \\(0, {CERTIFIED_MIN_RANK - 1}\\)"
-        with pytest.raises(ValueError, match=message):
-            integer_symmetric_signature(m)
-        with pytest.raises(ValueError, match="not symmetric"):
-            integer_inertia(m)
+        # eigh and cholesky read one triangle only, and an entry of 1 off it is
+        # well inside the eigenvalues' margin: only the symmetry check catches
+        # it.  The diagonal is one-signed, so the definite step sees it first.
+        for sign in (1, -1):
+            m = sign * np.diag(np.arange(CERTIFIED_MIN_RANK) + 100)
+            m[0, -1] = 1
+            message = f"not symmetric at \\(0, {CERTIFIED_MIN_RANK - 1}\\)"
+            with counted("cholesky") as cholesky, pytest.raises(ValueError, match=message):
+                integer_symmetric_signature(m)
+            assert cholesky.call_count == 0
+            with pytest.raises(ValueError, match="not symmetric"):
+                integer_inertia(m)
 
     def test_route_switches_at_the_crossover_rank(self):
         calls = []
         route = mock.patch.object(
             hermitian, "integer_inertia", lambda a: calls.append(len(a)) or integer_inertia(a)
         )
-        with route:
+        with route, counted("cholesky") as cholesky:
             for n in (CERTIFIED_MIN_RANK - 1, CERTIFIED_MIN_RANK):
-                m = np.diag(np.arange(n) - 2)
-                assert integer_symmetric_signature(m) == eliminated(m)
-                # Integral floats and object arrays keep to elimination at any rank.
-                assert integer_symmetric_signature(m.astype(float)) == eliminated(m)
-                assert integer_symmetric_signature(m.astype(object)) == eliminated(m)
-            # A list of ints, as bordered_delta passes it, is read as an integer array.
-            assert integer_symmetric_signature(m.tolist()) == eliminated(m)
+                # An indefinite and a definite form.
+                for m in (np.diag(np.arange(n) - 2), np.diag(np.arange(n) + 1)):
+                    assert integer_symmetric_signature(m) == eliminated(m)
+                    # Integral floats and object arrays keep to elimination at any rank.
+                    assert integer_symmetric_signature(m.astype(float)) == eliminated(m)
+                    assert integer_symmetric_signature(m.astype(object)) == eliminated(m)
+                    # A list of ints, as bordered_delta passes it, is read as an integer array.
+                    assert integer_symmetric_signature(m.tolist()) == eliminated(m)
+        # The indefinite form goes to eigh, the definite one to Cholesky, twice each.
         assert calls == [CERTIFIED_MIN_RANK, CERTIFIED_MIN_RANK]
+        assert [len(call.args[0]) for call in cholesky.call_args_list] == calls
+
+
+def definite(matrix):
+    """The inertia that the Cholesky certificate decides, or None where it declines."""
+    return hermitian._definite(np.asarray(matrix))
+
+
+def tridiagonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """4T as for a two-bridge form: T has diagonal -2 d_k, d_k >= 1, and off-diagonal 1."""
+    t = np.diag(-2 * rng.integers(1, 4, size=n))
+    t += np.diag(np.ones(n - 1, dtype=np.int64), 1) + np.diag(np.ones(n - 1, dtype=np.int64), -1)
+    return 4 * t
+
+
+@st.composite
+def definite_inputs(draw):
+    """Integer forms of rank CERTIFIED_MIN_RANK to 40 with a one-signed diagonal,
+    times a random sign: B^T D B with D >= 1 (definite for a unimodular B, at
+    worst singular for a random one), tridiagonal 4T forms, and G + mI with G a
+    singular sum of outer products vv^T, |v_i| <= 2^26, so that the least
+    eigenvalue m sits near the certificate's shift (entries up to 2^53 + m)."""
+    n = draw(st.integers(CERTIFIED_MIN_RANK, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["product", "unimodular", "tridiagonal", "near_singular"]))
+    if kind == "tridiagonal":
+        m = tridiagonal(n, rng)
+    elif kind == "near_singular":
+        v = rng.integers(-(2**26), 2**26 + 1, size=(draw(st.integers(1, 2)), n))
+        m = v.T @ v + draw(st.integers(0, 2**14)) * np.eye(n, dtype=np.int64)
+    else:
+        b = unit_lower(rng, n, 0.5) if kind == "unimodular" else rng.integers(-3, 4, size=(n, n))
+        d = rng.integers(1, 2 ** draw(st.sampled_from([1, 20, 40])), size=n)
+        m = b.T @ np.diag(d) @ b
+    return draw(st.sampled_from([1, -1])) * m
+
+
+@settings(deadline=None, max_examples=150)
+@given(definite_inputs())
+def test_definite_certificate_agrees_with_elimination(m):
+    decided = definite(m)
+    assert decided is None or decided == eliminated(m)
+    assert integer_symmetric_signature(m) == eliminated(m)
+
+
+def wrong_cholesky(make):
+    """Patch ``np.linalg.cholesky`` to return ``make(b, factor)`` for the shifted
+    form b it is handed, ``factor`` being the real one."""
+    factor = np.linalg.cholesky
+    return mock.patch.object(np.linalg, "cholesky", lambda b: make(b, factor))
+
+
+class TestDefinite:
+    @pytest.mark.parametrize("form", TWOBRIDGE_FORMS)
+    def test_two_bridge_forms_take_cholesky_only(self, form):
+        h = h_at_minus_ones(build_gss(ConwayForm.parse(form)))
+        with counted("cholesky") as cholesky, counted("eigh") as eigh:
+            result = integer_symmetric_signature(h)
+        assert result == SignatureResult(-80, 0, 0, 80) == definite(h)
+        assert cholesky.call_count == 1 and eigh.call_count == 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_least_eigenvalue_against_the_shift(self, sign):
+        # G + mI with G = vv^T of rank 1, entries near 2^52: the shift c is
+        # in the hundreds, so m = 1 is declined and m = 10^6 decided, each
+        # as elimination decides.
+        v = np.random.default_rng(3).integers(2**25, 2**26, size=(1, 20))
+        for m, decided in [(1, False), (10**6, True)]:
+            form = sign * (v.T @ v + m * np.eye(20, dtype=np.int64))
+            assert (definite(form) is not None) == decided
+            assert integer_symmetric_signature(form) == eliminated(form) == (
+                SignatureResult(20 * sign, 0, 20 * (sign > 0), 20 * (sign < 0))
+            )
+
+    def test_any_cholesky_output_is_checked(self):
+        # LL^T is positive semidefinite for any L, so only its residual can
+        # tell a right factor from a wrong one.  Each wrong one is declined,
+        # and the eigh certificate still decides the definite form.
+        a = tridiagonal(20, np.random.default_rng(20))
+        shift = lambda b: (-a - b)[0, 0]  # b = -a - cI, rounded
+        wrong = [
+            lambda b, factor: factor(b) * (1 + 1e-9),
+            lambda b, factor: factor(b + 3 * shift(b) * np.eye(len(b))),  # of -a + 2cI
+            lambda b, factor: np.tril(np.random.default_rng(1).standard_normal(b.shape)),
+            lambda b, factor: np.full_like(b, np.nan),
+        ]
+        for make in wrong:
+            with wrong_cholesky(make):
+                assert definite(a) is None
+                assert integer_symmetric_signature(a) == SignatureResult(-20, 0, 0, 20)
+
+    def test_indefinite_one_signed_diagonal_falls_through(self):
+        # [[2, 3], [3, 2]] has eigenvalues 5 and -1; bordered by 2I to the
+        # certified rank, no factor can pass for it.
+        m = 2 * np.eye(CERTIFIED_MIN_RANK, dtype=np.int64)
+        m[0, 1] = m[1, 0] = 3
+        expected = SignatureResult(CERTIFIED_MIN_RANK - 2, 0, CERTIFIED_MIN_RANK - 1, 1)
+        with counted("cholesky") as cholesky, counted("eigh") as eigh:
+            assert integer_symmetric_signature(m) == eliminated(m) == expected
+        assert cholesky.call_count == eigh.call_count == 1
+        # The factors of b + tI are real factors of definite forms near it.
+        for t in (1 + 1e-9, 1.5, 4.0, 100.0):
+            with wrong_cholesky(lambda b, factor: factor(b + t * np.eye(len(b)))):
+                assert definite(m) is None
+                assert integer_symmetric_signature(m) == expected

@@ -18,8 +18,9 @@ from linksig.ccomplex import (
     assemble_h,
     assemble_stack,
     h_at_minus_ones,
+    torus_coordinate,
 )
-from linksig.hermitian import hermitian_signature, integer_symmetric_signature
+from linksig.hermitian import hermitian_signature, integer_inertia, integer_symmetric_signature
 from linksig.invariants import (
     ScanGrid,
     estimate_beta,
@@ -30,6 +31,7 @@ from linksig.invariants import (
     undetected_sigma_jumps,
     write_scan_csv,
 )
+from linksig.twobridge import ConwayForm, build_gss
 
 from conftest import full_family, grid_points, random_system, random_torus_fractions
 
@@ -51,15 +53,15 @@ def zero_system(mu=2, rank=3):
 
 @contextlib.contextmanager
 def count_factorizations(monkeypatch):
-    """Record the number of matrices of every eigvalsh, eigh and det call, and the
-    number of samples of every pencil evaluation (``_pencil_det``), per function."""
+    """Record the number of matrices of every eigvalsh, eigh, det and cholesky call, and
+    the number of samples of every pencil evaluation (``_pencil_det``), per function."""
     matrices = {}
 
     def record(owner, name, size):
         calls, original = matrices.setdefault(name, []), getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a: calls.append(size(a)) or original(*a))
 
-    for name in ("eigvalsh", "eigh", "det"):
+    for name in ("eigvalsh", "eigh", "det", "cholesky"):
         # A stack of N matrices counts N; one matrix counts 1.
         record(np.linalg, name, lambda a: math.prod(a[0].shape[:-2]))
     record(invariants, "_pencil_det", lambda a: len(a[-1]))  # its points w
@@ -194,6 +196,16 @@ class TestTorusScan:
         assert grid.sigma.size == 1
         assert grid_points(grid) == [TorusPoint.minus_ones(2)]
         assert (grid.sigma.tolist(), grid.eta.tolist()) == ([-2], [0])
+
+    def test_axis_matches_the_fraction_route(self):
+        # Each k / (R + 1) is the correctly rounded float(Fraction(k, R + 1)),
+        # so the coordinates are bitwise those of the exact fractions.
+        for resolution in range(1, 401):
+            fractions = [Fraction(k, resolution + 1) for k in range(1, resolution + 1)]
+            axis = invariants._axis(resolution)
+            assert axis == [float(q) for q in fractions]
+            exact = np.array([torus_coordinate(q) for q in fractions])
+            assert np.array([torus_coordinate(t) for t in axis]).tobytes() == exact.tobytes()
 
     def test_zero_system_grid(self):
         grid = torus_scan(zero_system(2, 2), 3)
@@ -503,6 +515,21 @@ class TestTorusScan:
         sigma, eta = signature_nullity(system, TorusPoint.minus_ones(1))
         assert eta > 0
         assert (grid.sigma[3], grid.eta[3], grid.det_sign[3]) == (sigma, eta, 0)
+
+
+    def test_definite_middle_sample_keeps_its_eigh(self, monkeypatch):
+        # H(-1,-1) = 4T of this two-bridge form is negative definite at rank 10,
+        # which integer_symmetric_signature would certify by Cholesky; a scan's
+        # middle sample takes its inertia and |det| from integer_inertia's eigh.
+        system = build_gss(ConwayForm.parse("4,3,4,3,4,3,4,3,4,3,2"))
+        h = h_at_minus_ones(system)
+        assert system.rank == 10 and hermitian._definite(h) == (-10, 0, 0, 10)
+        with count_factorizations(monkeypatch) as matrices:
+            grid = torus_scan(system, 3)
+        assert matrices["eigh"] == [1] and matrices["cholesky"] == []
+        assert grid_points(grid)[4].is_minus_ones()
+        assert (grid.sigma[4], grid.eta[4]) == (-10, 0)
+        assert grid.abs_det[4] == integer_inertia(h)[1]
 
 
 class TestEstimateBeta:
