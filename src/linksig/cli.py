@@ -70,16 +70,26 @@ def _ints(flag: str, item: str, expects: str | None = None) -> list[int]:
         raise ValueError(f"{flag} expects integers, got {item!r}") from None
 
 
-#: The value flags of ``bound`` in usage-line order.
-_BOUND_FLAGS = "mu sigma_l eta_l total_lk lk component nonsplit split omega".split()
-#: Per formula: its fixture kind (None: inline flags only), then the value
-#: flags an inline call must give and the further ones it may give.  A
-#: formula given a fixture reads no value flag.
+#: The value flags of ``bound`` in usage-line order, each with its argparse settings.
+_BOUND_FLAGS = {
+    "mu": {"type": parse_int},
+    "sigma_l": {"type": parse_int},
+    "eta_l": {"type": parse_int},
+    "total_lk": {"type": parse_int},
+    "lk": {"help": "the mu(mu-1)/2 pairwise linking numbers, i<j row-major"},
+    "component": {"action": "append", "help": "per-color 'sigma,eta', repeatable"},
+    "nonsplit": {"action": "append", "help": "1-based pair 'i,j' known non-split"},
+    "split": {"action": "append", "help": "1-based pair 'i,j' known split"},
+    "omega": {"help": "evaluation point, mu coordinates, for the report only"},
+}
+#: Per formula, in usage-line order: its fixture kind (None: inline flags
+#: only), then the value flags an inline call must give and the further ones
+#: it may give.  A formula given a fixture reads no value flag.
 _FORMULAS = {
-    "split-lt": ("lt", "mu sigma_l eta_l total_lk", "component omega"),
     "split-multi": ("multi", "mu sigma_l eta_l", "total_lk component omega"),
-    "rank": ("rank", "", ""),
+    "split-lt": ("lt", "mu sigma_l eta_l total_lk", "component omega"),
     "linking": (None, "lk", "mu nonsplit split"),
+    "rank": ("rank", "", ""),
     "unlink": (None, "mu sigma_l eta_l lk", ""),
 }
 
@@ -166,24 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="grid scan of sigma, eta and |det H| to CSV")
     p_scan.add_argument("system")
-    p_scan.add_argument("--res", type=int, required=True, help="samples per axis")
+    p_scan.add_argument("--res", type=parse_int, required=True, help="samples per axis")
     p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.set_defaults(func=cmd_scan)
 
     p_bound = sub.add_parser("bound", help="evaluate a lower bound")
-    p_bound.add_argument(
-        "formula", choices=["split-multi", "split-lt", "linking", "rank", "unlink"]
-    )
+    p_bound.add_argument("formula", choices=_FORMULAS)
     p_bound.add_argument("fixture", nargs="?", help="fixture file or shipped fixture name")
-    p_bound.add_argument("--mu", type=int)
-    p_bound.add_argument("--sigma-l", dest="sigma_l", type=int)
-    p_bound.add_argument("--eta-l", dest="eta_l", type=int)
-    p_bound.add_argument("--total-lk", dest="total_lk", type=int)
-    p_bound.add_argument("--lk", help="the mu(mu-1)/2 pairwise linking numbers, i<j row-major")
-    p_bound.add_argument("--component", action="append", help="per-color 'sigma,eta', repeatable")
-    p_bound.add_argument("--nonsplit", action="append", help="1-based pair 'i,j' known non-split")
-    p_bound.add_argument("--split", action="append", help="1-based pair 'i,j' known split")
-    p_bound.add_argument("--omega", help="evaluation point, mu coordinates, for the report only")
+    for name, settings in _BOUND_FLAGS.items():
+        p_bound.add_argument(_flag(name), **settings)
     p_bound.set_defaults(func=cmd_bound)
 
     p_tb = sub.add_parser("twobridge", help="two-bridge construction C(2a_1,b_1,...,2a_n)")

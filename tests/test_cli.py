@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from linksig import catalog, invariants
-from linksig.cli import build_parser, main
+from linksig.cli import _BOUND_FLAGS, _FORMULAS, _flag, build_parser, main
 
 from conftest import write_mixed_system
 
@@ -634,6 +634,61 @@ class TestBound:
         )
         assert code == 0
         assert "raw=2" in out and "value=1" in out
+
+    def test_negative_first_value_takes_the_equals_form(self, capsys):
+        # With a space, argparse reads "-1,1" as an option and "--component" as
+        # missing its value; "--component=-1,1" is one token.
+        argv = ["split-lt", "--mu", "2", "--sigma-l", "0", "--eta-l", "1", "--total-lk", "1",
+                "--component", "1,1", "--component=-1,1", "--omega", "1/6,1/6"]
+        expected = "formula=split-lt value=3 omega=1/6,1/6 total_lk=1 lk_parity=odd\n"
+        assert run(capsys, "bound", *argv) == (0, expected, "")
+        assert run(capsys, "bound", "split-lt", "L12n1367") == (0, f"name=L12n1367 {expected}", "")
+
+
+#: Every integer flag that argparse reads: the typed ``bound`` value flags,
+#: and ``scan --res``.
+INTEGER_FLAGS = [_flag(n) for n, settings in _BOUND_FLAGS.items() if "type" in settings]
+INTEGER_FLAGS.append("--res")
+
+
+def integer_flag_command(flag, tmp_path):
+    """A valid command that ends in integer ``flag``, its value still to come.
+
+    A ``bound`` flag goes to the first formula that reads it, with each other
+    flag that formula needs set to 1.
+    """
+    if flag == "--res":
+        return ["scan", "C(4,3,2)", "--out", str(tmp_path / "s.csv"), flag]
+    name = flag[2:].replace("-", "_")
+    formula, needs = next((formula, needs) for formula, (_, needs, optional) in _FORMULAS.items()
+                          if name in f"{needs} {optional}".split())
+    others = [arg for other in needs.split() if other != name for arg in (_flag(other), "1")]
+    return ["bound", formula, *others, flag]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("token", ["1_0", "\u0663"], ids=["underscore", "arabic-indic"])
+    @pytest.mark.parametrize("flag", INTEGER_FLAGS)
+    def test_token_that_int_would_read_exits_2(self, capsys, tmp_path, flag, token):
+        # int() reads these as 10 and 3.
+        with pytest.raises(SystemExit) as exc:
+            main(integer_flag_command(flag, tmp_path) + [token])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = err.splitlines()[-1]  # the usage line before it names every flag
+        assert flag in error and token in error
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("flag", INTEGER_FLAGS)
+    def test_sign_and_space_read_as_int_does(self, capsys, tmp_path, flag):
+        argv = integer_flag_command(flag, tmp_path)
+        expected = run(capsys, *argv, "3")
+        assert expected[0] == 0
+        for token in ["+3", " 3"]:
+            assert run(capsys, *argv, token) == expected
+        # "-2" is a value, not an option; flags that take no negative say so.
+        assert run(capsys, *argv, "-2") == run(capsys, *argv[:-1], f"{flag}=-2")
 
 
 class TestTwobridge:
