@@ -146,7 +146,7 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(item)
 
 
-def parse_int(text: str) -> int:
+def integer(text: str) -> int:
     """int(text) in ASCII digits only: int() alone also takes underscores and non-ASCII digits."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")

@@ -26,7 +26,7 @@ from .bounds import (
     unlinking_bound,
 )
 from .catalog import CatalogError, InvalidSystem
-from .ccomplex import TorusPoint, parse_int
+from .ccomplex import TorusPoint, integer
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -65,17 +65,17 @@ def _ints(flag: str, item: str, expects: str | None = None) -> list[int]:
     if expects and len(fields) != 2:
         raise ValueError(f"{expects}, got {item!r}")
     try:
-        return [parse_int(field) for field in fields]
+        return [integer(field) for field in fields]
     except ValueError:
         raise ValueError(f"{flag} expects integers, got {item!r}") from None
 
 
 #: The value flags of ``bound`` in usage-line order, each with its argparse settings.
 _BOUND_FLAGS = {
-    "mu": {"type": parse_int},
-    "sigma_l": {"type": parse_int},
-    "eta_l": {"type": parse_int},
-    "total_lk": {"type": parse_int},
+    "mu": {"type": integer},
+    "sigma_l": {"type": integer},
+    "eta_l": {"type": integer},
+    "total_lk": {"type": integer},
     "lk": {"help": "the mu(mu-1)/2 pairwise linking numbers, i<j row-major"},
     "component": {"action": "append", "help": "per-color 'sigma,eta', repeatable"},
     "nonsplit": {"action": "append", "help": "1-based pair 'i,j' known non-split"},
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="grid scan of sigma, eta and |det H| to CSV")
     p_scan.add_argument("system")
-    p_scan.add_argument("--res", type=parse_int, required=True, help="samples per axis")
+    p_scan.add_argument("--res", type=integer, required=True, help="samples per axis")
     p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.set_defaults(func=cmd_scan)
 

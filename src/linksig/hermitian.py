@@ -5,7 +5,8 @@ stack of exactly Hermitian matrices, such as ``assemble_stack`` builds, with
 one ``eigvalsh`` call; it checks only that the entries are finite.
 ``hermitian_signature`` is the checking entry point for one matrix of any
 origin: it rejects asymmetry beyond the tolerance and symmetrizes the rest
-before ``inertia_stack``.  ``integer_symmetric_signature`` is exact.  From
+before ``inertia_stack``.  ``integer_symmetric_signature`` is exact, and its
+route follows rank and entry size, never the container of the form.  From
 rank ``CERTIFIED_MIN_RANK`` on it takes up to three steps.  A form whose
 diagonal is strictly one-signed first gets one Cholesky factorization of a
 shifted copy, whose residual, rigorously bounded, certifies it definite.
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ccomplex import exact_int, exact_int_rows, int_array  # importable from here too
+from .ccomplex import exact_int, exact_int_rows, int_array, shape_of  # importable from here too
 
 #: Relative tolerance of the floating-point zero test; it is not a parameter.
 DEFAULT_TOL = 1e-9
@@ -57,8 +58,8 @@ class SignatureResult(NamedTuple):
     negatives: int
 
 
-def _square(matrix, dtype=None) -> np.ndarray:
-    a = np.asarray(matrix, dtype=dtype)
+def _square(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -108,7 +109,7 @@ def hermitian_signature(matrix) -> SignatureResult:
     Raises ``ValueError`` for non-square input, non-finite entries, or a
     matrix that is not Hermitian within that threshold.
     """
-    a = _square(matrix, complex)
+    a = _square(matrix)
     threshold, adjoint = _threshold(a), a.conj().T
     if np.abs(a - adjoint).max(initial=0.0) > threshold:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -124,10 +125,21 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _exact_symmetric(a: np.ndarray) -> bool:
-    """Whether ``a`` is a symmetric integer array whose float64 copy is exact."""
-    exact = a.dtype.kind in "iu" and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53)
-    return exact and bool((a == a.T).all())
+def _exact_form(matrix) -> np.ndarray:
+    """``matrix``, square as given (``[]`` is not 0 x 0 here), read by :func:`int_array`;
+    ``ValueError`` names the first asymmetric (i, j) in row-major order."""
+    if len(shape := shape_of(matrix)) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    a = int_array(matrix)
+    if not (a == a.T).all():
+        i, j = np.argwhere(a != a.T)[0]
+        raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    return a
+
+
+def _float_exact(a: np.ndarray) -> bool:
+    """Whether ``a`` is an integer array whose float64 copy is exact."""
+    return a.dtype.kind in "iu" and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53)
 
 
 def _gap(residual: np.ndarray) -> float:
@@ -159,7 +171,7 @@ def _definite(a: np.ndarray) -> SignatureResult | None:
     certifies definite, or None.
 
     Only a strictly one-signed diagonal (sign s) can belong to a definite
-    form, and ``a`` must be symmetric with a float64 copy that is exact.  The
+    form, and ``a``, from :func:`_exact_form`, needs an exact float copy.  The
     shift c is twice the radius of a zero residual with the trace of sA as
     its spread.  With L = cholesky(fl(sA - cI)), the residual is
     LL^T - fl(sA - cI), and its spread is ||L||_F^2 >= || |L||L^T| ||_2 plus
@@ -170,7 +182,7 @@ def _definite(a: np.ndarray) -> SignatureResult | None:
     """
     diagonal = np.diagonal(a)
     sign = 1 if diagonal.min() > 0 else -1 if diagonal.max() < 0 else 0
-    if not sign or not _exact_symmetric(a):
+    if not sign or not _float_exact(a):
         return None
     n = len(a)
     b = sign * a.astype(float)
@@ -189,7 +201,7 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     """Exact inertia of an integer symmetric matrix A, and |det A| as the
     product of the eigenvalue magnitudes of one ``eigh``.
 
-    A is read by :func:`int_array`, never as floats; the certificate needs
+    A is read by :func:`_exact_form`, never as floats; the certificate needs
     |entries| <= 2^53, so that the float copy is A.
     With ``lam, V = eigh(A)``, M = V^T A V is computed with error at most
     gamma_2n |V^T||A||V|, whose 2-norm is at most ||V||_F^2 ||A||_inf.  From
@@ -202,13 +214,13 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     an entry beyond floating-point range or a NaN eigenvalue raises
     ``ValueError``.
     """
-    a = _square(int_array(matrix))
+    a = _exact_form(matrix)
     try:
         lam, v = np.linalg.eigh(f := a.astype(float))
     except OverflowError:
         raise ValueError("matrix entries beyond floating-point range") from None
     n, radius = len(a), np.inf
-    if _exact_symmetric(a):
+    if _float_exact(a):
         residual = v.T @ (f @ v)
         residual[np.diag_indices(n)] -= lam
         radius = _radius(n, _gap(residual), np.vdot(v, v) * np.abs(f).sum(1).max(initial=0.0))
@@ -221,9 +233,9 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
 def integer_symmetric_signature(matrix) -> SignatureResult:
     """Exact signature and nullity of an integer symmetric matrix.
 
-    An integer array of rank at least ``CERTIFIED_MIN_RANK`` that is
-    symmetric with entries of at most 2^53 may be certified in floating
-    point, in two steps.  If its diagonal is strictly one-signed, one checked
+    A form of rank at least ``CERTIFIED_MIN_RANK`` with entries of at most
+    2^53, in a list or any array, may be certified in floating point, in
+    two steps.  If its diagonal is strictly one-signed, one checked
     Cholesky factorization may certify it definite (``_definite``).  Else, or
     if that declines, :func:`integer_inertia` may certify it by one ``eigh``.
     Anything else, and what both certificates leave undecided, takes
@@ -241,19 +253,13 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
 
     Raises ``ValueError`` for non-square, non-integer or non-symmetric input.
     """
-    a = np.asarray(matrix)
-    if a.ndim == 2 and a.shape[0] == a.shape[1] >= CERTIFIED_MIN_RANK and a.dtype.kind in "iu":
+    a = _exact_form(matrix)
+    if len(a) >= CERTIFIED_MIN_RANK and a.dtype != object:
         return _definite(a) or integer_inertia(a)[0]
-    return _eliminate(exact_int_rows(matrix))
+    return _eliminate(a.tolist())
 
 
 def _eliminate(a: list[list[int]]) -> SignatureResult:
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-
     positives = negatives = 0
     while a:
         m = len(a)
@@ -305,9 +311,8 @@ def bordered_delta(matrix, border, corner):
 
     Raises ``ValueError`` when the border length does not match ``M`` or an entry is not finite.
     """
-    a = _square(matrix, complex)
-    n = a.shape[0]
-    z = np.asarray(border, dtype=complex)
+    a = _square(matrix)
+    n, z = len(a), np.asarray(border, dtype=complex)
     if z.shape != (n,):
         raise ValueError(f"border has shape {z.shape}, expected ({n},)")
 
@@ -316,13 +321,8 @@ def bordered_delta(matrix, border, corner):
         col = [exact_int(v) for v in np.asarray(border).tolist()]
         lam = exact_int(corner)
     except ValueError:  # some input is not an integer: floating route
-        bordered = np.zeros((n + 1, n + 1), dtype=complex)
-        bordered[:n, :n] = a
-        bordered[:n, n] = z
-        bordered[n, :n] = z.conj()
-        bordered[n, n] = corner
         before = hermitian_signature(a)
-        after = hermitian_signature(bordered)
+        after = hermitian_signature(np.block([[a, z[:, None]], [z.conj(), corner]]))
     else:
         big = [row + [c] for row, c in zip(base + [col], col + [lam])]
         before = integer_symmetric_signature(base) if base else SignatureResult(0, 0, 0, 0)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccomplex import GeneralizedSeifertSystem, exact_int, parse_int
+from .ccomplex import GeneralizedSeifertSystem, exact_int, integer
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ class ConwayForm:
 
     @classmethod
     def parse(cls, text: str) -> "ConwayForm":
-        try:  # parse_int strips the spaces around a coefficient and rejects an empty one
-            coeffs = tuple(parse_int(item) for item in text.split(","))
+        try:  # integer() strips the spaces around a coefficient and rejects an empty one
+            coeffs = tuple(integer(item) for item in text.split(","))
         except ValueError as exc:
             raise ValueError(f"invalid Conway form {text!r}: {exc}") from exc
         return cls(coeffs)

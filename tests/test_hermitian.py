@@ -640,14 +640,66 @@ class TestIntegerInertia:
                 # An indefinite and a definite form.
                 for m in (np.diag(np.arange(n) - 2), np.diag(np.arange(n) + 1)):
                     assert integer_symmetric_signature(m) == eliminated(m)
-                    # Integral floats and object arrays keep to elimination at any rank.
+                    # Integral floats, object arrays of small ints and lists take the same route.
                     assert integer_symmetric_signature(m.astype(float)) == eliminated(m)
                     assert integer_symmetric_signature(m.astype(object)) == eliminated(m)
-                    # A list of ints, as bordered_delta passes it, is read as an integer array.
                     assert integer_symmetric_signature(m.tolist()) == eliminated(m)
-        # The indefinite form goes to eigh, the definite one to Cholesky, twice each.
-        assert calls == [CERTIFIED_MIN_RANK, CERTIFIED_MIN_RANK]
+        # The indefinite form goes to eigh, the definite one to Cholesky, once per container.
+        assert calls == [CERTIFIED_MIN_RANK] * 4
         assert [len(call.args[0]) for call in cholesky.call_args_list] == calls
+
+
+#: An integer array as itself, a nested list, an integral float array and an object array.
+CONTAINERS = (lambda m: m, np.ndarray.tolist, lambda m: m.astype(float), lambda m: m.astype(object))
+
+
+def alternating(n: int) -> np.ndarray:
+    """Tridiagonal, diagonal 3, -3, 3, ... and off-diagonal 1: A^2 = 9I + B^2 for
+    the off-diagonal part B, so every |eigenvalue| is at least 3."""
+    off = np.ones(n - 1, dtype=np.int64)
+    return np.diag(np.resize([3, -3], n)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestExactForm:
+    """Both exact entry points read a form by one rule, whatever container holds it."""
+
+    # (form, calls of cholesky, eigh and _eliminate)
+    ROUTES = {
+        "definite-12": (lambda: tridiagonal(12, np.random.default_rng(12)), (1, 0, 0)),
+        "indefinite-12": (lambda: alternating(12), (0, 1, 0)),
+        "singular-12": (lambda: np.diag(np.arange(12) - 2), (0, 1, 1)),
+        "rank-9": (lambda: np.diag(np.arange(9) - 2), (0, 0, 1)),
+    }
+
+    @pytest.mark.parametrize("form", ROUTES)
+    def test_route_depends_on_the_form_not_the_container(self, form):
+        make, expected = self.ROUTES[form]
+        m = make()
+        for container in CONTAINERS:
+            wrapped = mock.patch.object(hermitian, "_eliminate", wraps=hermitian._eliminate)
+            with counted("cholesky") as cholesky, counted("eigh") as eigh, wrapped as eliminate:
+                result = integer_symmetric_signature(container(m))
+            assert (cholesky.call_count, eigh.call_count, eliminate.call_count) == expected
+            assert result == eliminated(m)
+
+    @pytest.mark.parametrize("matrix", [[], [[]], [[], []], [[1, 2], [3]]], ids=repr)
+    def test_non_square_input_is_rejected(self, matrix):
+        for entry in (integer_symmetric_signature, integer_inertia):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                entry(matrix)
+
+    @pytest.mark.parametrize("n", [CERTIFIED_MIN_RANK - 1, CERTIFIED_MIN_RANK + 2])
+    def test_asymmetric_entry_is_named_before_any_factorization(self, n):
+        # (1, 4) is the first asymmetric pair in row-major order; a one-signed
+        # diagonal would offer the form to Cholesky first.
+        m = np.diag(np.arange(n) + 1)
+        m[4, 1], m[2, n - 1] = 5, -1
+        for container in CONTAINERS:
+            for entry in (integer_symmetric_signature, integer_inertia):
+                with counted("cholesky") as cholesky, counted("eigh") as eigh:
+                    with pytest.raises(ValueError, match=r"^matrix is not symmetric at \(1, 4\)$"):
+                        entry(container(m))
+                assert cholesky.call_count == eigh.call_count == 0
 
 
 def definite(matrix):
