@@ -28,7 +28,7 @@ _HOMES = {
         "canonical_patterns h_at_minus_ones load_system validate",
         "hermitian": "DEFAULT_TOL SignatureResult bordered_delta hermitian_signature "
         "integer_symmetric_signature",
-        "invariants": "ScanGrid estimate_beta lt_signature_from_multivariable scan_to_csv "
+        "invariants": "ScanGrid lt_signature_from_multivariable scan_to_csv "
         "signature_nullity torus_scan undetected_sigma_jumps write_scan_csv",
         "twobridge": "ConwayForm build_gss h_minus_one_closed_form predicted_splitting",
     }.items()

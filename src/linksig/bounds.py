@@ -162,17 +162,18 @@ def _linking_pairs(linking, mu: int | None = None) -> tuple[int, list[tuple[int,
     ``ValueError`` for a ``mu`` below 1.
     """
     mu = None if mu is None else _positive_mu(mu)
-    shape = shape_of(linking)
-    if len(shape) == 2:
+    try:
         rows = exact_int_rows(linking)
-        size = len(rows)
-        if any(rows[i][j] != rows[j][i] for i in range(size) for j in range(i)):
-            raise ValueError("linking matrix must be symmetric")
-        values = [rows[i][j] for i in range(size) for j in range(i + 1, size)]
-    elif len(shape) == 1 and not any(map(shape_of, linking)):  # not ragged rows
+    except ValueError:
+        if len(shape := shape_of(linking)) == 2:
+            raise
+        if len(shape) != 1 or any(map(shape_of, linking)):  # not a flat row
+            raise ValueError("linking data must be a square matrix or its upper triangle") from None
         values = [exact_int(v) for v in linking]
     else:
-        raise ValueError("linking data must be a square matrix or its upper triangle")
+        if rows != [list(column) for column in zip(*rows)]:
+            raise ValueError("linking matrix must be symmetric")
+        values = [lk for i, row in enumerate(rows) for lk in row[i + 1 :]]
     if mu is None:  # the size whose upper triangle has len(values) entries, if any
         mu = (1 + isqrt(1 + 8 * len(values))) // 2
         if mu * (mu - 1) // 2 != len(values):

@@ -17,10 +17,10 @@ Its signature and nullity are the multivariable link invariants consumed by
 the rest of the package.
 
 A system stores its matrices as given, nested lists or arrays alike, and
-:func:`validate` reads either as Python rows.  :func:`int_array` is the one
-exact reader of matrix data into an array; the float route
-(:func:`assemble_stack`) is the other.  Only the functions that build arrays
-import numpy, so reading and validating a system loads none.
+:func:`exact_int_rows` is the one exact reader of either: one walk reads it as
+Python rows for :func:`validate`, or into an array for :func:`int_array`; the
+float route (:func:`assemble_stack`) is the other.  Only the functions that
+build arrays import numpy, so reading and validating a system loads none.
 """
 
 from __future__ import annotations
@@ -80,16 +80,25 @@ def shape_of(value) -> tuple[int, ...]:
 
 
 def exact_int_rows(matrix) -> list[list[int]]:
-    """The rows of a square matrix, nested lists or an array, as Python ints,
-    each read by :func:`exact_int`."""
-    shape = shape_of(matrix)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {shape}")
-    if hasattr(matrix, "tolist"):
-        if matrix.dtype.kind in "iu":  # an integer array lists Python ints
-            return matrix.tolist()
-        matrix = matrix.tolist()
-    return [list(map(exact_int, row)) for row in matrix]
+    """The rows of a square matrix, nested lists, tuples or an array, as Python ints,
+    read in one walk: an integer array by one ``tolist()``, a row of ints as it is
+    and any other entry by :func:`exact_int`.  Only a failure calls :func:`shape_of`,
+    to word the message: the shape's if it is not square, else the entry's."""
+    square = hasattr(matrix, "shape") and matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1]
+    rows = matrix.tolist() if square else matrix
+    if square and matrix.dtype.kind in "iu":
+        return rows
+    try:  # [] has shape (0,); a row is a list, a tuple or a 1-d array
+        if square or isinstance(rows, (list, tuple)) and rows and all(
+            (isinstance(row, (list, tuple)) or getattr(row, "ndim", 0) == 1)
+            and len(row) == len(rows) for row in rows
+        ):
+            return [list(row) if set(map(type, row)) == {int} else list(map(exact_int, row))
+                    for row in rows]
+    except ValueError:
+        if len(shape := shape_of(matrix)) == 2 and shape[0] == shape[1]:
+            raise
+    raise ValueError(f"expected a square matrix, got shape {shape_of(matrix)}")
 
 
 def int_array(matrix) -> np.ndarray:
@@ -101,11 +110,15 @@ def int_array(matrix) -> np.ndarray:
 
     if hasattr(matrix, "dtype") and matrix.dtype.kind in "iu":
         return matrix
-    rows = [] if 0 in shape_of(matrix) else exact_int_rows(matrix)
     try:
+        rows = exact_int_rows(matrix)
         return np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
     except OverflowError:
         return np.array(rows, dtype=object)
+    except ValueError:
+        if 0 not in shape_of(matrix):
+            raise
+        return np.zeros((0, 0), dtype=np.int64)
 
 
 def canonical_patterns(mu: int) -> tuple[SignPattern, ...]:
@@ -256,12 +269,14 @@ class GeneralizedSeifertSystem:
         return f"<GeneralizedSeifertSystem{label} mu={self.mu} rank={self.rank}>"
 
 
-def _int_rows(matrix) -> list[list[int]] | None:
-    """:func:`exact_int_rows` of ``matrix``, or None if it is not square and integral."""
+def _int_rows(matrix) -> tuple[list[list[int]] | None, tuple[int, ...]]:
+    """:func:`exact_int_rows` of ``matrix`` and their shape, or None and
+    :func:`shape_of` if it is not square and integral."""
     try:
-        return exact_int_rows(matrix)
+        rows = exact_int_rows(matrix)
     except ValueError:
-        return None
+        return None, shape_of(matrix)
+    return rows, (len(rows), len(rows))
 
 
 def validate(gss: GeneralizedSeifertSystem) -> list[str]:
@@ -296,9 +311,8 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
             problems.append(f"pattern '{label}' is not canonical (first sign must be +)")
 
     for pattern in sorted(expected & present, reverse=True):
-        a = gss.matrices[pattern]
         label = pattern_to_string(pattern)
-        shape = shape_of(a)
+        rows, shape = _int_rows(gss.matrices[pattern])
         if 0 in shape:  # any matrix without entries reads as 0 x 0
             shape = (0, 0)
         if shape != (gss.rank, gss.rank):
@@ -306,13 +320,14 @@ def validate(gss: GeneralizedSeifertSystem) -> list[str]:
                 f"matrix for pattern '{label}' has shape {shape}, expected "
                 f"({gss.rank}, {gss.rank})"
             )
-        elif gss.rank and _int_rows(a) is None:
+        elif gss.rank and rows is None:
             problems.append(f"matrix for pattern '{label}' has non-integer entries")
 
     if gss.linking is not None:
-        if (shape := shape_of(gss.linking)) != (gss.mu, gss.mu):
+        lk, shape = _int_rows(gss.linking)
+        if shape != (gss.mu, gss.mu):
             problems.append(f"linking matrix has shape {shape}, expected ({gss.mu}, {gss.mu})")
-        elif (lk := _int_rows(gss.linking)) is None:
+        elif lk is None:
             problems.append("linking matrix has non-integer entries")
         elif lk != [list(column) for column in zip(*lk)]:
             problems.append("linking matrix is not symmetric")
@@ -348,10 +363,11 @@ def assemble_stack(gss: GeneralizedSeifertSystem, values: np.ndarray) -> np.ndar
     except OverflowError as exc:
         raise ValueError(f"matrix entries beyond floating-point range: {exc}") from None
     flat = stack.reshape(len(patterns), gss.rank * gss.rank)
-    half = (coefficients.T @ flat).reshape(w.shape[-1], gss.rank, gss.rank)
-    # C^H is copied out contiguous first: a sum that reads C transposed is slow.
-    h = np.conjugate(half.swapaxes(1, 2), order="C")
-    h += half
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers' finite checks report
+        half = (coefficients.T @ flat).reshape(w.shape[-1], gss.rank, gss.rank)
+        # C^H is copied out contiguous first: a sum that reads C transposed is slow.
+        h = np.conjugate(half.swapaxes(1, 2), order="C")
+        h += half
     return h
 
 

@@ -126,11 +126,11 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _exact_form(matrix) -> np.ndarray:
-    """``matrix``, square as given (``[]`` is not 0 x 0 here), read by :func:`int_array`;
-    ``ValueError`` names the first asymmetric (i, j) in row-major order."""
-    if len(shape := shape_of(matrix)) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {shape}")
+    """``matrix``, read by :func:`int_array` and square as given (``[]`` is not
+    0 x 0 here); ``ValueError`` names the first asymmetric (i, j) in row-major order."""
     a = int_array(matrix)
+    if len(shape := a.shape if a.size else shape_of(matrix)) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
     if not (a == a.T).all():
         i, j = np.argwhere(a != a.T)[0]
         raise ValueError(f"matrix is not symmetric at ({i}, {j})")
@@ -318,13 +318,11 @@ def bordered_delta(matrix, border, corner):
 
     try:
         base = exact_int_rows(matrix)
-        col = [exact_int(v) for v in np.asarray(border).tolist()]
-        lam = exact_int(corner)
+        big = exact_int_rows([[*row, c] for row, c in zip([*base, border], [*border, corner])])
     except ValueError:  # some input is not an integer: floating route
         before = hermitian_signature(a)
         after = hermitian_signature(np.block([[a, z[:, None]], [z.conj(), corner]]))
     else:
-        big = [row + [c] for row, c in zip(base + [col], col + [lam])]
         before = integer_symmetric_signature(base) if base else SignatureResult(0, 0, 0, 0)
         after = integer_symmetric_signature(big)
     return (after.signature - before.signature, after.nullity - before.nullity)

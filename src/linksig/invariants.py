@@ -3,8 +3,7 @@
 The signature sigma(omega) and nullity eta(omega) of a generalized Seifert
 system are the inertia data of H(omega).  This module evaluates single
 points, recovers the one-variable (Levine-Tristram) invariants from the
-diagonal, scans rectangular grids for the zero locus of det H, and
-estimates the minimal nullity over the torus from samples.
+diagonal, and scans rectangular grids for the zero locus of det H.
 
 Scans exclude the boundary angles 0 and 1 by construction: H vanishes when
 a coordinate hits 1, so grid fractions are k/(R+1) for k = 1..R.  On a line
@@ -36,7 +35,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -254,19 +252,6 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
         abs_det=abs_det,
         det_sign=np.where(eta > 0, 0, 1 - 2 * (negatives % 2)),
     )
-
-
-def estimate_beta(gss: GeneralizedSeifertSystem, samples: Sequence[TorusPoint]) -> int:
-    """Minimum sampled nullity: an upper bound for the minimal nullity.
-
-    The true minimum over the whole torus (the rank of the Alexander
-    module) can only be smaller, so rank-obstruction bounds computed from
-    this estimate stay valid, merely possibly weaker.
-    """
-    points = list(samples)
-    if not points:
-        raise ValueError("at least one sample point is required")
-    return min(signature_nullity(gss, omega)[1] for omega in points)
 
 
 def undetected_sigma_jumps(grid: ScanGrid) -> list[tuple[int, int]]:

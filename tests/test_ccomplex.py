@@ -5,22 +5,36 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linksig import bounds, ccomplex, hermitian
+from linksig.bounds import _linking_pairs
 from linksig.ccomplex import (
     GeneralizedSeifertSystem,
     TorusPoint,
     assemble_h,
     assemble_stack,
     canonical_patterns,
+    exact_int,
+    exact_int_rows,
     h_at_minus_ones,
+    int_array,
     load_system,
     pattern_from_string,
     pattern_to_string,
+    shape_of,
     system_from_dict,
     torus_coordinate,
     validate,
 )
-from linksig.hermitian import hermitian_signature
+from linksig.hermitian import (
+    bordered_delta,
+    hermitian_signature,
+    integer_inertia,
+    integer_symmetric_signature,
+)
+from linksig.twobridge import ConwayForm, build_gss
 
 from conftest import (
     full_family,
@@ -301,3 +315,222 @@ class TestJsonFormat:
         )
         system = load_system(path)
         assert any("missing" in p for p in validate(system))
+
+
+def parent_rows(matrix):
+    """The reader before the one walk, kept as the oracle: the shape of the whole
+    input by shape_of first, then every entry by exact_int."""
+    shape = shape_of(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if hasattr(matrix, "tolist"):
+        if matrix.dtype.kind in "iu":
+            return matrix.tolist()
+        matrix = matrix.tolist()
+    return [list(map(exact_int, row)) for row in matrix]
+
+
+def parent_int_array(matrix):
+    """int_array by the oracle: a matrix without entries is 0 x 0."""
+    if hasattr(matrix, "dtype") and matrix.dtype.kind in "iu":
+        return matrix
+    rows = [] if 0 in shape_of(matrix) else parent_rows(matrix)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def parent_form(matrix):
+    """What the exact entry points factor, by the oracle: square as given, then parent_int_array."""
+    if len(shape := shape_of(matrix)) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    return parent_int_array(matrix)
+
+
+def parent_problems(matrix, rank: int, linking: bool) -> list[str]:
+    """validate's messages on ``matrix`` as the "+" matrix of a mu = 1 system of
+    ``rank``, or as the linking matrix of a rank-0 system of mu = ``rank``, by the oracle."""
+    shape, rows = shape_of(matrix), outcome(parent_rows, matrix)
+    name = "linking matrix" if linking else "matrix for pattern '+'"
+    if 0 in shape and not linking:
+        shape = (0, 0)
+    if shape != (rank, rank):
+        return [f"{name} has shape {shape}, expected ({rank}, {rank})"]
+    if rank and rows[0] != "value":
+        return [f"{name} has non-integer entries"]
+    if linking and rows[1] != [list(column) for column in zip(*rows[1])]:
+        return ["linking matrix is not symmetric"]
+    return []
+
+
+def parent_pairs(linking):
+    """_linking_pairs by the oracle: a matrix by parent_rows, a flat row entry by entry."""
+    shape = shape_of(linking)
+    if len(shape) == 2:
+        return _linking_pairs(parent_rows(linking))
+    if len(shape) == 1 and not any(map(shape_of, linking)):
+        return _linking_pairs([exact_int(v) for v in linking])
+    raise ValueError("linking data must be a square matrix or its upper triangle")
+
+
+def outcome(read, *args):
+    """``read(*args)`` in comparable form, an array as its dtype kind, shape and
+    entries; or the type and message of what it raised."""
+    try:
+        value = read(*args)
+    except Exception as exc:  # the oracle must raise the same
+        return type(exc).__name__, str(exc)
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.kind, value.shape, value.tolist()
+    return "value", value
+
+
+def assert_parent_parity(matrix):
+    """Every exact reader gives on ``matrix`` the rows, results and messages that
+    the parent's reader implies."""
+    assert outcome(exact_int_rows, matrix) == outcome(parent_rows, matrix)
+    assert outcome(int_array, matrix) == outcome(parent_int_array, matrix)
+    for entry in (integer_symmetric_signature, integer_inertia):
+        assert outcome(entry, matrix) == outcome(lambda m: entry(parent_form(m)), matrix)
+    for rank in (0, 1, 2):
+        system = GeneralizedSeifertSystem(1, rank, {"+": matrix})
+        assert validate(system) == parent_problems(matrix, rank, linking=False)
+    for mu in (1, 2) if matrix is not None else ():  # linking=None is no linking data
+        system = GeneralizedSeifertSystem(mu, 0, {p: [] for p in canonical_patterns(mu)}, matrix)
+        assert validate(system) == parent_problems(matrix, mu, linking=True)
+    assert outcome(_linking_pairs, matrix) == outcome(parent_pairs, matrix)
+
+    def parent_bordered(border):
+        try:
+            form = parent_form(matrix)
+            [exact_int(v) for v in np.asarray(border).tolist()]
+        except ValueError:  # not read exactly: the floating route, after the shape checks
+            a, z = hermitian._square(matrix), np.asarray(border, dtype=complex)
+            if z.shape != (len(a),):
+                raise ValueError(f"border has shape {z.shape}, expected ({len(a)},)") from None
+            before = hermitian_signature(a)
+            after = hermitian_signature(np.block([[a, z[:, None]], [z.conj(), 2]]))
+            return after.signature - before.signature, after.nullity - before.nullity
+        return bordered_delta(form, border, 2)
+
+    borders = ([1, 0], [0.5, 0], np.array([1, 0]), np.array([True, False]), [1 + 0j, np.int64(0)])
+    for border in borders:
+        assert outcome(bordered_delta, matrix, border, 2) == outcome(parent_bordered, border)
+
+
+def object_array_holding_a_list():
+    a = np.array([[2, 1], [1, 2]], dtype=object)
+    a[0, 1] = [1]
+    return a
+
+
+#: Inputs of every container and malformation, built afresh for each test.
+READER_CASES = {
+    "list": lambda: [[2, 1], [1, 2]],
+    "asymmetric": lambda: [[2, 1], [3, 2]],
+    "tuple": lambda: ((2, 1), (1, 2)),
+    "int64": lambda: np.array([[2, 1], [1, 2]]),
+    "int32": lambda: np.array([[2, 1], [1, 2]], dtype=np.int32),
+    "uint8": lambda: np.array([[2, 1], [1, 2]], dtype=np.uint8),
+    "integral-float-array": lambda: np.array([[2.0, 1.0], [1.0, 2.0]]),
+    "fractional-float-array": lambda: np.array([[2.5, 1.0], [1.0, 2.0]]),
+    "object-array": lambda: np.array([[2, 1], [1, 2**70]], dtype=object),
+    "object-array-holding-a-list": object_array_holding_a_list,
+    "numpy-ints-in-lists": lambda: [[np.int64(2), np.int32(1)], [np.uint8(1), np.int16(2)]],
+    "array-rows": lambda: [np.array([2, 1]), np.array([1, 2])],
+    "complex-zero-imaginary": lambda: [[complex(2, 0), 1], [1, 2]],
+    "complex": lambda: [[complex(2, 1), 1], [1, 2]],
+    "empty": lambda: [],
+    "empty-row": lambda: [[]],
+    "empty-rows": lambda: [[], []],
+    "empty-float-array": lambda: np.zeros((0, 0)),
+    "empty-int-array": lambda: np.zeros((0, 0), dtype=int),
+    "zero-by-three-array": lambda: np.zeros((0, 3)),
+    "ragged": lambda: [[1, 2], [3]],
+    "ragged-fraction-first": lambda: [[0.5, 1], [1]],
+    "nested": lambda: [[[1]]],
+    "nested-entry": lambda: [[1, [2]], [3, 4]],
+    "wide": lambda: [[1, 2, 3], [4, 5, 6]],
+    "flat": lambda: [1, 2, 3],
+    "true": lambda: [[True, 0], [0, 1]],
+    "text": lambda: [["1", 0], [0, 1]],
+    "text-rows": lambda: ["ab", "cd"],
+    "none": lambda: [[None, 0], [0, 1]],
+    "none-matrix": lambda: None,
+    "dict-rows": lambda: [{0: 1, 1: 2}, {0: 3, 1: 4}],
+    "inf": lambda: [[math.inf, 0], [0, 1]],
+    "nan": lambda: [[math.nan, 0], [0, 1]],
+    "beyond-int64": lambda: [[2**70, 1], [1, -(2**63) - 1]],
+    "beyond-float-range": lambda: [[1e308, 0], [0, 1]],
+}
+
+
+class TestOneWalkReader:
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_readers_agree_with_the_parent_reader(self, case):
+        assert_parent_parity(READER_CASES[case]())
+
+    def test_well_formed_lists_are_read_without_shape_of(self, monkeypatch):
+        calls, nested = [], []
+
+        def counted(value):  # counts the outermost calls, not shape_of's recursion
+            calls.extend([] if nested else [type(value).__name__])
+            nested.append(value)
+            try:
+                return shape_of(value)
+            finally:
+                nested.pop()
+
+        for module in (ccomplex, hermitian, bounds):
+            monkeypatch.setattr(module, "shape_of", counted)
+        h = h_at_minus_ones(build_gss(ConwayForm.parse("4,3," * 40 + "2"))).tolist()
+        assert integer_symmetric_signature(h) == (-80, 0, 0, 80)
+        assert integer_inertia(h)[0] == (-80, 0, 0, 80)
+        assert int_array(h).tolist() == exact_int_rows(h) == h
+        system = GeneralizedSeifertSystem(2, 80, {(1, 1): h, (1, -1): h}, [[0, 1], [1, 0]])
+        assert validate(system) == [] and system.total_linking() == 1
+        assert _linking_pairs([[0, 1], [1, 0]]) == (2, [(0, 1, 1)])
+        assert bordered_delta([[1, 0], [0, 1]], [0, 0], 1) == (1, 0)
+        assert calls == []
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2.0, -1.0, 0.5, 1e308, math.inf, math.nan, True, None, "1", complex(1, 0),
+                     complex(1, 1), Fraction(1, 2), np.int64(-2), np.float64(3.0), [1], []]),
+)
+
+
+@st.composite
+def reader_inputs(draw):
+    """Square, ragged, deeper and flat inputs of mostly small integers, sometimes
+    symmetric, in a list, tuples or an array of any dtype that holds them."""
+    n = draw(st.integers(0, 3))
+    entry = st.one_of(st.integers(-3, 3), ENTRIES) if draw(st.booleans()) else st.integers(-3, 3)
+    kind = draw(st.sampled_from(["square", "square", "ragged", "deeper", "flat"]))
+    if kind == "flat":
+        matrix = draw(st.lists(entry, max_size=4))
+    elif kind == "deeper":
+        matrix = [[[draw(entry)] * draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
+    else:
+        lengths = st.integers(0, 3) if kind == "ragged" else st.just(n)
+        matrix = [[draw(entry) for _ in range(draw(lengths))] for _ in range(n)]
+        if kind == "square" and draw(st.booleans()):
+            matrix = [[matrix[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    container = draw(st.sampled_from(["list", "tuple", "int64", "uint8", "float", "object"]))
+    if container == "tuple":
+        return tuple(tuple(row) if isinstance(row, list) else row for row in matrix)
+    if container != "list":
+        try:
+            return np.array(matrix, dtype=None if container == "int64" else container)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return matrix
+
+
+@settings(deadline=None, max_examples=300)
+@given(reader_inputs())
+def test_one_walk_reader_agrees_with_the_parent_reader(matrix):
+    assert_parent_parity(matrix)

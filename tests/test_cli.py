@@ -222,6 +222,25 @@ class TestSig:
             assert (code, out) == (2, "")
             assert err.startswith("error: matrix entries beyond floating-point range")
 
+    @pytest.mark.parametrize(
+        "command, options, error",
+        [
+            ("sig", ["--omega", "1/3"], "matrix has non-finite entries"),
+            ("scan", ["--res", "3", "--out", "s.csv"], "matrix entries beyond floating-point range"),
+        ],
+        ids=["sig", "scan"],
+    )
+    def test_overflow_at_assembly_is_one_error_line(
+        self, capsys, tmp_path, monkeypatch, command, options, error
+    ):
+        # H at a float point adds 1e308 to its transpose, past the float maximum: the
+        # finite checks report it in one error line, with no numpy warning before it.
+        monkeypatch.chdir(tmp_path)
+        doc = '{"mu": 1, "rank": 1, "matrices": {"+": [[1e308]]}}'
+        Path("big.json").write_text(doc, encoding="utf-8")
+        assert run(capsys, command, "big.json", *options) == (2, "", f"error: {error}\n")
+        assert not Path("s.csv").exists()
+
     def test_large_finite_entries_keep_their_inertia(self, capsys, tmp_path):
         path = write_large_entry_system(tmp_path)
         assert run(capsys, "sig", str(path), "--omega", "1/3") == (0, "sigma=2 eta=0\n", "")

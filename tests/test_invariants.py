@@ -23,7 +23,6 @@ from linksig.ccomplex import (
 from linksig.hermitian import hermitian_signature, integer_inertia, integer_symmetric_signature
 from linksig.invariants import (
     ScanGrid,
-    estimate_beta,
     lt_signature_from_multivariable,
     scan_to_csv,
     signature_nullity,
@@ -530,22 +529,6 @@ class TestTorusScan:
         assert grid_points(grid)[4].is_minus_ones()
         assert (grid.sigma[4], grid.eta[4]) == (-10, 0)
         assert grid.abs_det[4] == integer_inertia(h)[1]
-
-
-class TestEstimateBeta:
-    def test_example_minimum_zero(self, example_system):
-        assert estimate_beta(example_system, [TorusPoint.minus_ones(2)]) == 0
-
-    def test_zero_system(self):
-        points = [TorusPoint.from_strings(["1/3", "1/5"]), TorusPoint.minus_ones(2)]
-        assert estimate_beta(zero_system(2, 2), points) == 2
-
-    def test_empty_system(self):
-        assert estimate_beta(zero_system(2, 0), [TorusPoint.minus_ones(2)]) == 0
-
-    def test_empty_sample_list(self, example_system):
-        with pytest.raises(ValueError, match="sample"):
-            estimate_beta(example_system, [])
 
 
 def reference_csv(grid):
