@@ -195,9 +195,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each token that starts with ``-`` and a digit joined by ``=``
+    to the long flag right before it, whose value it is: argparse alone reads
+    ``--component -1,1`` as a flag missing its value and an unknown option.
+    Every long flag of this parser but ``--help`` takes one value."""
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if (token[:1] == "-" and token[1:2].isdecimal() and flag.startswith("--")
+                and "=" not in flag and not "--help".startswith(flag)):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         catalog.self_check()
         return args.func(args)

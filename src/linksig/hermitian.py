@@ -85,6 +85,14 @@ def _spectrum(eigenvalues, margin):
     return (eigenvalues > margin).sum(axis=-1), (eigenvalues < -margin).sum(axis=-1), abs_det
 
 
+def _eigenvalues(stack):
+    """The ascending eigenvalues of each matrix of a stack, from one ``eigvalsh``
+    call, and each matrix's :func:`_threshold` as a column; ``ValueError`` for a
+    non-finite entry."""
+    threshold = _threshold(stack)[:, None]
+    return np.linalg.eigvalsh(stack), threshold
+
+
 def inertia_stack(stack):
     """Inertia of every matrix in an (N, n, n) stack of exactly Hermitian matrices.
 
@@ -96,8 +104,7 @@ def inertia_stack(stack):
 
     Raises ``ValueError`` for a non-finite entry or a NaN eigenvalue.
     """
-    threshold = _threshold(stack)[:, None]
-    return _spectrum(np.linalg.eigvalsh(stack), threshold)
+    return _spectrum(*_eigenvalues(stack))
 
 
 def hermitian_signature(matrix) -> SignatureResult:

@@ -10,12 +10,30 @@ a coordinate hits 1, so grid fractions are k/(R+1) for k = 1..R.  On a line
 of the last coordinate, det H vanishes only at the unit-circle roots of the
 line's pencil (B, B*), so sigma and eta are constant on each arc between two
 roots.  ``eigvalsh`` classifies every sample within half a grid step of a
-root and both ends of every arc (a maximal run of the other samples).  An
-arc whose ends agree with eta = 0 hands their inertia to its interior, where
-det H(w) = (1 - conj w)^n det M prod_i (1 - (w - w0) nu_i) over the pencil's
-eigenvalues nu, with M = B - w0 B* factored once per line; a sample goes to
-``eigvalsh`` when that product is not finite, not real or not of the arc's
-sign, and so does every sample of an arc whose ends disagree.  The sign of
+root (a near sample).  An arc is a maximal run of the other samples, and
+each arc end takes its inertia from the near sample c beside it when c is in
+the classified half, is not the odd-R middle sample, has eta = 0 and has
+exactly one root near it and off it (a double root is two nu near c):
+
+- Root beyond c, away from the arc: the end has the inertia of c.  A root
+  between c and the end would be near c too, or near the end.
+- Root between c and the end: the end has the inertia of c with the sign of
+  c's least-magnitude eigenvalue flipped, if c's second-least |eigenvalue|
+  exceeds the root's Weyl radius, at least 2 |w_r - w_c| ||B||_F.  On the
+  circle H(w) = B - w B* - conj(w) B + B*, so ||H(w) - H(w_c)||_2 is at most
+  2 |w - w_c| ||B||_2 for every w on the arc from w_c to the root w_r.  By
+  Weyl's inequality each eigenvalue of H(w) stays within the radius of its
+  value at w_c, so every eigenvalue but the least keeps its sign up to w_r,
+  and the least is the one that vanishes there.  The root is simple, so det H
+  and that eigenvalue change sign at it, and no other root comes before the end.
+
+An end without such a sample, or whose guard refuses, goes to ``eigvalsh``.
+An arc whose ends agree with eta = 0 hands their inertia to its interior,
+where det H(w) = (1 - conj w)^n det M prod_i (1 - (w - w0) nu_i) over the
+pencil's eigenvalues nu, with M = B - w0 B* factored once per line.  Derived
+ends take |det H| from that product too.  A sample goes to ``eigvalsh`` when
+the product is not finite, not real or not of the sign (-1)^negatives, and
+so does every sample of an arc whose ends disagree.  The sign of
 the real determinant, (-1)^negatives, is 0 when the nullity is positive; its
 going through zero between neighbouring samples is the discrete trace of the
 zero locus, across which the signature may change.
@@ -46,7 +64,14 @@ from .ccomplex import (
     h_at_minus_ones,
     torus_coordinate,
 )
-from .hermitian import inertia_stack, integer_inertia, integer_symmetric_signature
+from .hermitian import (
+    DEFAULT_TOL,
+    _eigenvalues,
+    _spectrum,
+    inertia_stack,
+    integer_inertia,
+    integer_symmetric_signature,
+)
 
 #: Bytes of complex matrices assembled and factorized at a time, which
 #: bounds a scan's working memory at any resolution.
@@ -98,11 +123,27 @@ def _chunks(gss: GeneralizedSeifertSystem, axis: np.ndarray, indices: np.ndarray
         yield chunk, axis[chunk[:, None] // powers % len(axis)]
 
 
-def _inertia(gss, axis, indices, positives, negatives, abs_det) -> None:
-    """Classify the samples at ``indices`` with :func:`inertia_stack`, in place."""
+def _inertia(gss, axis, indices, positives, negatives, abs_det) -> np.ndarray:
+    """Classify the samples at ``indices`` by the rule of :func:`inertia_stack`, in
+    place.  Returns, per sample, its least-magnitude eigenvalue and the
+    second-least magnitude (inf below rank 2)."""
+    least, done = np.empty((len(indices), 2)), 0
     for chunk, values in _chunks(gss, axis, indices, gss.mu):
-        stack = assemble_stack(gss, values)
-        positives[chunk], negatives[chunk], abs_det[chunk] = inertia_stack(stack)
+        eigenvalues, threshold = _eigenvalues(assemble_stack(gss, values))
+        positives[chunk], negatives[chunk], abs_det[chunk] = _spectrum(eigenvalues, threshold)
+        # eigvalsh sorts ascending, so with k negative eigenvalues the two least
+        # magnitudes are among e[k - 2], e[k - 1], e[k] and e[k + 1].
+        inf, rows = np.full((len(chunk), 2), np.inf), np.arange(len(chunk))
+        padded = np.concatenate((-inf, eigenvalues, inf), axis=1)
+        k = (eigenvalues < 0).sum(axis=-1)
+        below2, below, above, above2 = (np.abs(padded[rows, k + j]) for j in range(4))
+        lower = below < above  # the least is e[k - 1]
+        least[done : done + len(chunk), 0] = np.where(lower, -below, above)
+        least[done : done + len(chunk), 1] = np.where(
+            lower, np.minimum(below2, above), np.minimum(below, above2)
+        )
+        done += len(chunk)
+    return least
 
 
 def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int):
@@ -110,14 +151,19 @@ def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int):
     on their line (grid index j of the first mu - 1 coordinates), and of every
     sample of a line whose M is ill-conditioned or whose nu is not finite.
     Then, per line, nu and slogdet(M) (phase, log|det M|), NaN where M fails the guard.
+    Last, the sorted flat indices of the samples that exactly one root is near,
+    off the sample, and per such sample the root's offset in grid steps and its
+    Weyl radius (module docstring).
 
     On the line H(w) = (1 - conj w)(B - w B*), as every A^eps is real.  With
     M = H(w0) / (1 - conj w0) and B* = (H(-1) / 2 - M) / (w0 + 1), the roots
     of det H are w0 + 1/nu over the eigenvalues nu of M^-1 B*.
     """
-    near = np.zeros((lines, len(axis)), dtype=bool)
+    size = len(axis)
+    near = np.zeros((lines, size), dtype=bool)
     nus = np.full((lines, gss.rank), np.nan, dtype=complex)
     sign_m, log_m = np.full(lines, np.nan, dtype=complex), np.full(lines, np.nan)
+    roots = []  # per chunk: (flat sample index, offset, radius) of each root near a sample
     for index, heads in _chunks(gss, axis, np.arange(lines), gss.mu - 1):
         shifted, halfway = (
             assemble_stack(gss, np.column_stack((heads, np.full(len(index), w))))
@@ -135,15 +181,36 @@ def _near_roots(gss: GeneralizedSeifertSystem, axis: np.ndarray, lines: int):
             sign_m[index[good]], log_m[index[good]] = np.linalg.slogdet(m[good])
             z = _SHIFT * nu + 1  # the root is z / nu
             on_circle = np.abs(np.abs(z) - np.abs(nu)) < _ON_CIRCLE * np.abs(nu)
+            scale = np.linalg.norm(m + _SHIFT * b_star, axis=(-2, -1))
         near[index[~np.isfinite(nu).all(-1)]] = True
         line, root = np.nonzero(on_circle)
         # Sample c (from 0) sits at (c + 1) / (R + 1) turns.
         turns = np.angle(z[line, root] * nu[line, root].conj()) / (2 * np.pi) % 1.0
-        position = turns * (len(axis) + 1) - 1
-        for column in (np.ceil(position - 0.5), np.floor(position + 0.5)):
-            inside = (column >= 0) & (column < len(axis))
-            near[index[line[inside]], column[inside].astype(int)] = True
-    return near, nus, sign_m, log_m
+        position = turns * (size + 1) - 1
+        low, high = np.ceil(position - 0.5), np.floor(position + 0.5)
+        both = low != high  # a root halfway between two samples is near both
+        line, position = (np.concatenate((a, a[both])) for a in (line, position))
+        column = np.concatenate((low, high[both]))
+        inside = (column >= 0) & (column < size)
+        line, position, column = line[inside], position[inside], column[inside].astype(int)
+        near[index[line], column] = True
+        offset = position - column
+        # The Weyl radius bounds 2 |w_r - w_c| ||B||_2 with room for rounding.
+        # |w_r - w_c| <= 2 pi |offset| / (R + 1), an arc being no shorter than its
+        # chord, and ||B||_2 <= ||B||_F.  The term 4 DEFAULT_TOL ||B||_F, at least
+        # DEFAULT_TOL ||H(w_c)||_2, holds the errors of c's eigenvalues and of B.
+        # Assembly and eigvalsh keep those near n u ||H||_2 (u = 2^-53), within
+        # the band that the tolerance route trusts eigenvalues to.  The factor
+        # 1 + 2 (n + 2)^2 u covers the n^2 roundings of the norm's sum and the
+        # few of the radius itself.
+        radius = 4 * np.pi * np.abs(offset) / (size + 1) + 4 * DEFAULT_TOL
+        radius *= scale[line] * (1 + 2 * (gss.rank + 2) ** 2 * 2.0**-53)
+        roots.append((index[line] * size + column, offset, radius))
+    at, offset, radius = (np.concatenate(r) for r in zip(*roots))
+    # A double root shows as two nu near one sample.
+    _, first, count = np.unique(at, return_index=True, return_counts=True)
+    first = first[(count == 1) & (offset[first] != 0)]
+    return near, nus, sign_m, log_m, at[first], offset[first], radius[first]
 
 
 def _pencil_det(nu, sign_m, log_m, axis, samples):
@@ -199,9 +266,15 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     :func:`validate` guarantees.
 
     Lines are classified arc by arc as the module docstring says, arc
-    interiors from the line's pencil.  With odd R the middle sample is its
-    own conjugate and the all-1/2 point, classified first, exactly, by
-    :func:`integer_inertia` on :func:`h_at_minus_ones`; its |det H| comes from the same ``eigh``.
+    interiors from the line's pencil.  One ``eigvalsh`` round classifies the
+    near samples and the arc ends that no near sample can vouch for: a line's
+    outer ends, the ends at the mirrored half, and ends beside a sample with
+    no single root.  Each other arc end takes the inertia of the near sample
+    beside it, the same or with its least eigenvalue flipped across the root;
+    a second round classifies the ends whose eta > 0 or Weyl guard refuses
+    that.  With odd R the middle sample is its own conjugate and the all-1/2
+    point, classified first, exactly, by :func:`integer_inertia` on
+    :func:`h_at_minus_ones`; its |det H| comes from the same ``eigh``.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -210,19 +283,51 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     positives, negatives, abs_det = np.empty(size, int), np.empty(size, int), np.empty(size)
     axis = np.array([torus_coordinate(turns) for turns in _axis(resolution)])
     half = size - size // 2
-    near, nu, sign_m, log_m = _near_roots(gss, axis, -(-half // resolution))
+    near, nu, sign_m, log_m, source, offset, radius = _near_roots(
+        gss, axis, -(-half // resolution)
+    )
     free = ~near
     free.ravel()[half:] = False  # the mirrored half
     # An arc is a maximal run of free samples along a line.
     starts = free & ~np.pad(free, ((0, 0), (1, 0)))[:, :-1]
     ends = free & ~np.pad(free, ((0, 0), (0, 1)))[:, 1:]
+    # The odd-R middle sample, the last of the classified half, is classified exactly.
+    middle = size // 2 if resolution % 2 else -1
+    # A near sample with exactly one root near it and off it vouches for the arc
+    # ends beside it on its line (the next and the previous sample, where free),
+    # when it is in the classified half and is not the middle.
+    keep = near.ravel()[source] & (source < half) & (source != middle)
+    source, offset, radius = source[keep], offset[keep], radius[keep]
+    end = np.concatenate((source + 1, source - 1))
+    column = source % resolution
+    beside = np.concatenate((column < resolution - 1, column > 0))
+    beside[beside] = free.ravel()[end[beside]]
+    beside &= end != middle
+    which = np.concatenate((np.arange(len(source)),) * 2)[beside]  # the end's source
+    end, across = end[beside], np.concatenate((offset > 0, offset < 0))[beside]
     direct = (~free | starts | ends).ravel()[:half]
+    direct[end] = False
+    direct[source] = False  # classified first, to read their least eigenvalues
     if resolution % 2:
-        # Always in ``direct``: near a root, or an arc end (the next sample is mirrored).
-        middle, abs_det[size // 2] = integer_inertia(h_at_minus_ones(gss))
-        positives[size // 2], negatives[size // 2] = middle.positives, middle.negatives
-        direct[size // 2] = False
-    _inertia(gss, axis, np.flatnonzero(direct), positives, negatives, abs_det)
+        # In ``direct`` until now: near a root, or an arc end (the next sample is mirrored).
+        exact, abs_det[middle] = integer_inertia(h_at_minus_ones(gss))
+        positives[middle], negatives[middle] = exact.positives, exact.negatives
+        direct[middle] = False
+    classified = np.concatenate((source, np.flatnonzero(direct)))
+    least = _inertia(gss, axis, classified, positives, negatives, abs_det)[which]
+    # Across the root, the source's least eigenvalue changes sign, if the next
+    # one lies beyond the root's Weyl radius: the module docstring has the proof.
+    source, flip = source[which], np.where(least[:, 0] > 0, 1, -1) * across
+    derive = positives[source] + negatives[source] == gss.rank
+    derive &= ~across | (least[:, 1] > radius[which])
+    # An arc of one sample may have a source on each side: the one before it wins.
+    derived, pick = np.unique(end[derive], return_index=True)
+    source, flip = source[derive][pick], flip[derive][pick]
+    positives[derived], negatives[derived] = positives[source] - flip, negatives[source] + flip
+    refused = np.zeros(half, dtype=bool)
+    refused[end] = True
+    refused[derived] = False
+    _inertia(gss, axis, np.flatnonzero(refused), positives, negatives, abs_det)
     first, last = np.flatnonzero(starts), np.flatnonzero(ends)
     agree = (positives[first] == positives[last]) & (negatives[first] == negatives[last])
     agree &= positives[first] + negatives[first] == gss.rank
@@ -231,6 +336,7 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     fill = agree[arc]
     filled, redo = interior[fill], [interior[~fill]]
     positives[filled], negatives[filled] = positives[first[arc[fill]]], negatives[first[arc[fill]]]
+    filled = np.concatenate((filled, derived))  # derived ends take |det H| from the pencil too
     # Pencil bytes per sample: 24 n in (n, samples) arrays, 16 n of ufunc buffer, ~100 more.
     step = max(1, CHUNK_BYTES // (48 * (gss.rank + 3)))
     for chunk in (filled[start : start + step] for start in range(0, len(filled), step)):

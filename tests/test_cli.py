@@ -655,13 +655,32 @@ class TestBound:
         assert "raw=2" in out and "value=1" in out
 
     def test_negative_first_value_takes_the_equals_form(self, capsys):
-        # With a space, argparse reads "-1,1" as an option and "--component" as
-        # missing its value; "--component=-1,1" is one token.
+        # "--component=-1,1" is one token; main joins "--component -1,1" into it.
         argv = ["split-lt", "--mu", "2", "--sigma-l", "0", "--eta-l", "1", "--total-lk", "1",
                 "--component", "1,1", "--component=-1,1", "--omega", "1/6,1/6"]
         expected = "formula=split-lt value=3 omega=1/6,1/6 total_lk=1 lk_parity=odd\n"
         assert run(capsys, "bound", *argv) == (0, expected, "")
         assert run(capsys, "bound", "split-lt", "L12n1367") == (0, f"name=L12n1367 {expected}", "")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["bound", "split-lt", "--mu", "2", "--sigma-l", "0", "--eta-l", "1",
+              "--total-lk", "1", "--component", "1,1", "--component", "-1,1",
+              "--omega", "1/6,1/6"],
+             (0, "formula=split-lt value=3 omega=1/6,1/6 total_lk=1 lk_parity=odd\n", "")),
+            (["bound", "linking", "--lk", "-1,0,2", "--nonsplit", "1,3"],
+             (0, "formula=linking value=5 total_lk=1 lk_parity=odd\n", "")),
+            # The value reaches the angle reader, which names the domain.
+            (["sig", "C(4,3,2)", "--omega", "-1/3,1/2"],
+             (2, "", "error: angle fraction -1/3 outside (0, 1): "
+                     "coordinate would leave the punctured torus\n")),
+        ],
+        ids=["component", "lk", "omega"],
+    )
+    def test_negative_first_value_after_a_space(self, capsys, argv, expected):
+        # argparse alone reads "-1,1" as an option and exits 2 with "expected one argument".
+        assert run(capsys, *argv) == expected
 
 
 #: Every integer flag that argparse reads: the typed ``bound`` value flags,

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linksig import hermitian, invariants
+from linksig import catalog, hermitian, invariants
 from linksig.ccomplex import (
     GeneralizedSeifertSystem,
     TorusPoint,
@@ -93,6 +94,32 @@ def block_diag(*blocks):
         out[start : start + len(b), start : start + len(b)] = b
         start += len(b)
     return out
+
+
+#: The trefoil's Seifert matrix and the 4 x 4 upper-bidiagonal -1/1 one of the
+#: (2, 5) torus knot, each also as -V^T.
+V5 = np.eye(4, k=1, dtype=int) - np.eye(4, dtype=int)
+KNOT_BLOCKS = (TREFOIL, -TREFOIL.T, V5, -V5.T)
+
+
+def scaled_blocks(k, x, y, t):
+    """mu = 1 and A = block_diag(k X, k Y, [[t]]).  Scaled by k, the eigenvalues of
+    H move fast and pass each other near the roots of det H, so the least one
+    beside a root need not be the one that changes sign there."""
+    return GeneralizedSeifertSystem(1, len(x) + len(y) + 1, {"+": block_diag(k * x, k * y, [[t]])})
+
+
+def pointwise(system, resolution):
+    """(sigma, eta) of :func:`signature_nullity` at every sample of a mu = 1 scan:
+    its float route on one stack, and its exact route at 1/2."""
+    axis = [torus_coordinate(Fraction(k, resolution + 1)) for k in range(1, resolution + 1)]
+    positives, negatives, _ = hermitian.inertia_stack(assemble_stack(system, np.c_[axis]))
+    sigma, eta = positives - negatives, system.rank - positives - negatives
+    if resolution % 2:
+        sigma[resolution // 2], eta[resolution // 2] = signature_nullity(
+            system, TorusPoint.minus_ones(1)
+        )
+    return sigma.tolist(), eta.tolist()
 
 
 def assert_matches_pointwise_and_oracle(system, grid):
@@ -383,7 +410,7 @@ class TestTorusScan:
                    "+-": block_diag([[-1]], [[-1, 1], [0, -1]])}
         )
         # Line 5 fixes omega_1 = 6/12, that is -1, where M has a zero row.
-        near, nu, sign_m, log_m = invariants._near_roots(singular, axis, 11)
+        near, nu, sign_m, log_m, *_ = invariants._near_roots(singular, axis, 11)
         assert near[5].all() and not near[4].all() and not near[6].all()
         # The guard leaves that line's nu and det M at NaN, and only that line's.
         for values in (nu, sign_m, log_m):
@@ -398,7 +425,7 @@ class TestTorusScan:
         m = assemble_stack(system, [[invariants._SHIFT]])[0] / (1 - np.conj(invariants._SHIFT))
         assert 1e8 < np.linalg.cond(m, 1) < 1e15
         axis = np.exp(2j * np.pi * np.arange(1, 12) / 12)
-        near, *pencil = invariants._near_roots(system, axis, 1)
+        near, *pencil, _, _, _ = invariants._near_roots(system, axis, 1)
         assert near.all() and all(np.isnan(values).all() for values in pencil)
         with count_factorizations(monkeypatch) as matrices:
             grid = torus_scan(system, 11)
@@ -408,6 +435,58 @@ class TestTorusScan:
         # |det| of so ill-conditioned an H is good to about 1e-8 relative only.
         for point, sigma, eta, _, _ in scan_rows(grid):
             assert (sigma, eta) == signature_nullity(system, point), point
+
+    @pytest.mark.parametrize("k, t", [(30, 1), (30, -1), (300, 1), (300, -1)])
+    def test_arc_ends_derived_across_roots_match_pointwise(self, k, t):
+        # An arc end beside a near sample takes that sample's inertia, with the
+        # least eigenvalue flipped when the root lies between them; only Weyl's
+        # inequality tells that the least eigenvalue is the one the root flips.
+        for x, y in itertools.permutations(KNOT_BLOCKS, 2):
+            system = scaled_blocks(k, x, y, t)
+            for resolution in range(6, 80):
+                grid = torus_scan(system, resolution)
+                expected = pointwise(system, resolution)
+                assert (grid.sigma.tolist(), grid.eta.tolist()) == expected, resolution
+            # The stacked reference is signature_nullity's.
+            for point, sigma, eta, _, _ in scan_rows(grid):
+                assert (sigma, eta) == signature_nullity(system, point)
+
+    def test_the_guard_refuses_a_flip_that_weyl_cannot_prove(self, monkeypatch):
+        system = scaled_blocks(300, -V5.T, TREFOIL, 1)
+        axis = np.exp(2j * np.pi * np.arange(1, 22) / 22)
+        near, *_, rooted, offset, radius = invariants._near_roots(system, axis, 1)
+        # Sample 2, at 3/22, is an arc of its own between near samples 1 and 3,
+        # and each of their roots lies between it and them.
+        assert np.flatnonzero(near[0][:11]).tolist() == [1, 3, 6]
+        assert rooted[:3].tolist() == [1, 3, 6] and offset[0] > 0 > offset[1]
+        eigenvalues = np.linalg.eigvalsh(assemble_stack(system, axis[1:4, None]))
+        # At sample 1 the least eigenvalue is 0.32, but -9.2 also lies within
+        # the root's Weyl radius: it is the one that changes sign.  Flipping
+        # 0.32 would give sigma -1 at 3/22, where sigma is 3.
+        least, second = sorted(eigenvalues[0], key=abs)[:2]
+        assert least > 0 > second and abs(second) < radius[0]
+        assert (np.sign(eigenvalues[0]).sum() - 2, np.sign(eigenvalues[1]).sum()) == (-1, 3)
+        assert eigenvalues[1] == pytest.approx([-456.3, -196.2, 0.69, 42.2, 53.0, 361.1, 610.4],
+                                               abs=0.05)
+        with count_factorizations(monkeypatch) as matrices:
+            grid = torus_scan(system, 21)
+        # eigvalsh takes the near samples 1, 3 and 6 first, then the ends 2 and
+        # 5, whose flips the guard refuses; the ends 0, 4 and 7 are derived on
+        # the root's side, and 10 is the exact middle sample.
+        assert matrices["eigvalsh"] == [3, 2] and matrices["eigh"] == [1]
+        assert (grid.sigma[2], grid.eta[2]) == (3, 0)
+        assert_matches_pointwise_and_oracle(system, grid)
+
+    def test_derived_arc_ends_halve_the_eigvalsh_samples(self, monkeypatch):
+        system = catalog.resolve_system("C(4,3,2)")
+        with count_factorizations(monkeypatch) as matrices:
+            grid = torus_scan(system, 101)
+        # 356 matrices when eigvalsh classified both ends of every arc.
+        assert sum(matrices["eigvalsh"]) == 186 and matrices["det"] == []
+        cells = "".join(f"{s},{e}\n" for s, e in zip(grid.sigma.tolist(), grid.eta.tolist()))
+        digest = hashlib.sha256(f"sigma,eta\n{cells}".encode()).hexdigest()
+        # The sigma and eta columns of the CSV, as `cut -d, -f3,4` prints them.
+        assert digest == "c981389ab77bb8807e60795bf8585dd192b4578164c9a3d076300086818d2603"
 
     def test_multi_chunk_scan_matches_pointwise(self, monkeypatch):
         system = random_system(np.random.default_rng(40), 2, 40)
