@@ -5,10 +5,11 @@ scan to CSV), ``bound`` (splitting/unlinking lower bounds from a fixture
 file or inline values) and ``twobridge`` (Conway-form construction and the
 splitting-number computation for the even two-bridge family).
 
-Exit codes: 0 on success, 2 on input or parse errors, 3 on data-invariant
-violations.  Output is deterministic: identical invocations print
-byte-identical text.  ``bound`` and the catalog gate run without numpy;
-``sig``, ``scan`` and ``twobridge`` import it when they run.
+A command is parsed once, by its own subcommand parser, which also reports
+an unrecognized argument.  Exit codes: 0 on success, 2 on input or parse
+errors, 3 on data-invariant violations.  Output is deterministic: identical
+invocations print byte-identical text.  ``bound`` and the catalog gate run
+without numpy; ``sig``, ``scan`` and ``twobridge`` import it when they run.
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "from generalized Seifert matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name, for ``main``
 
     p_sig = sub.add_parser("sig", help="signature and nullity at a torus point")
     p_sig.add_argument("system", help="system file, shipped name, or Conway form C(...)")
@@ -213,7 +215,14 @@ def _negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = _negative_values(sys.argv[1:] if argv is None else list(argv))
+    # A command's own parser reads its arguments, once; the top level reads only
+    # what names no command, to print its help or its error.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         catalog.self_check()
         return args.func(args)

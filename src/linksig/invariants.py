@@ -123,25 +123,27 @@ def _chunks(gss: GeneralizedSeifertSystem, axis: np.ndarray, indices: np.ndarray
         yield chunk, axis[chunk[:, None] // powers % len(axis)]
 
 
-def _inertia(gss, axis, indices, positives, negatives, abs_det) -> np.ndarray:
+def _inertia(gss, axis, indices, positives, negatives, abs_det, leading=0) -> np.ndarray:
     """Classify the samples at ``indices`` by the rule of :func:`inertia_stack`, in
-    place.  Returns, per sample, its least-magnitude eigenvalue and the
-    second-least magnitude (inf below rank 2)."""
-    least, done = np.empty((len(indices), 2)), 0
+    place.  Returns, for each of the first ``leading`` samples, its least-magnitude
+    eigenvalue and the second-least magnitude (inf below rank 2)."""
+    least, done = np.empty((leading, 2)), 0
     for chunk, values in _chunks(gss, axis, indices, gss.mu):
         eigenvalues, threshold = _eigenvalues(assemble_stack(gss, values))
         positives[chunk], negatives[chunk], abs_det[chunk] = _spectrum(eigenvalues, threshold)
-        # eigvalsh sorts ascending, so with k negative eigenvalues the two least
-        # magnitudes are among e[k - 2], e[k - 1], e[k] and e[k + 1].
-        inf, rows = np.full((len(chunk), 2), np.inf), np.arange(len(chunk))
-        padded = np.concatenate((-inf, eigenvalues, inf), axis=1)
-        k = (eigenvalues < 0).sum(axis=-1)
-        below2, below, above, above2 = (np.abs(padded[rows, k + j]) for j in range(4))
-        lower = below < above  # the least is e[k - 1]
-        least[done : done + len(chunk), 0] = np.where(lower, -below, above)
-        least[done : done + len(chunk), 1] = np.where(
-            lower, np.minimum(below2, above), np.minimum(below, above2)
-        )
+        if done < leading:
+            # eigvalsh sorts ascending, so with k negative eigenvalues the two least
+            # magnitudes are among e[k - 2], e[k - 1], e[k] and e[k + 1].
+            eigenvalues = eigenvalues[: leading - done]
+            inf, rows = np.full((len(eigenvalues), 2), np.inf), np.arange(len(eigenvalues))
+            padded = np.concatenate((-inf, eigenvalues, inf), axis=1)
+            k = (eigenvalues < 0).sum(axis=-1)
+            below2, below, above, above2 = (np.abs(padded[rows, k + j]) for j in range(4))
+            lower = below < above  # the least is e[k - 1]
+            least[done : done + len(rows), 0] = np.where(lower, -below, above)
+            least[done : done + len(rows), 1] = np.where(
+                lower, np.minimum(below2, above), np.minimum(below, above2)
+            )
         done += len(chunk)
     return least
 
@@ -314,7 +316,7 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
         positives[middle], negatives[middle] = exact.positives, exact.negatives
         direct[middle] = False
     classified = np.concatenate((source, np.flatnonzero(direct)))
-    least = _inertia(gss, axis, classified, positives, negatives, abs_det)[which]
+    least = _inertia(gss, axis, classified, positives, negatives, abs_det, len(source))[which]
     # Across the root, the source's least eigenvalue changes sign, if the next
     # one lies beyond the root's Weyl radius: the module docstring has the proof.
     source, flip = source[which], np.where(least[:, 0] > 0, 1, -1) * across

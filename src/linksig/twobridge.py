@@ -56,14 +56,18 @@ class ConwayForm:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(exact_int(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        if set(map(type, coeffs)) != {int}:
+            coeffs = tuple(map(exact_int, coeffs))
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs or len(coeffs) % 2 == 0:
             raise ValueError(
                 f"{self.name}: expected an odd number of coefficients "
                 "(the supported family is C(2a_1,b_1,...,2a_n))"
             )
-        for position, c in enumerate(coeffs, start=1):
+        if min(coeffs) > 0 and not any(c % 2 for c in coeffs[::2]):
+            return
+        for position, c in enumerate(coeffs, start=1):  # name the first offending one
             if c <= 0:
                 raise ValueError(
                     f"{self.name}: coefficient {c} at position {position} must be positive"
@@ -76,8 +80,12 @@ class ConwayForm:
 
     @classmethod
     def parse(cls, text: str) -> "ConwayForm":
-        try:  # integer() strips the spaces around a coefficient and rejects an empty one
-            coeffs = tuple(integer(item) for item in text.split(","))
+        # int() strips the spaces around a coefficient and rejects an empty one.  Only
+        # a text it would misread (4_0, a non-ASCII digit) goes item by item through
+        # integer(), which names the first item it rejects.
+        read = int if text.isascii() and "_" not in text else integer
+        try:
+            coeffs = tuple(map(read, text.split(",")))
         except ValueError as exc:
             raise ValueError(f"invalid Conway form {text!r}: {exc}") from exc
         return cls(coeffs)
@@ -96,7 +104,7 @@ class ConwayForm:
 
     @property
     def name(self) -> str:
-        return f"C({','.join(str(c) for c in self.coefficients)})"
+        return f"C({','.join(map(str, self.coefficients))})"
 
 
 def predicted_splitting(form: ConwayForm) -> int:
@@ -112,8 +120,10 @@ def _loops(form: ConwayForm) -> list[tuple[int, int]]:
     """
     loops, sign = [], -1
     for a, b in zip(form.a_values, form.b_values + (0,)):
-        loops += [(sign, 0)] * (a - 1) + [(sign, b)]
-        sign *= -1 if b % 2 else 1
+        loops += [(sign, 0)] * (a - 1)
+        loops.append((sign, b))
+        if b % 2:
+            sign = -sign
     return loops[:-1]  # the last clasp starts no loop
 
 
@@ -122,16 +132,17 @@ def build_gss(form: ConwayForm) -> GeneralizedSeifertSystem:
     rank = form.clasp_count - 1
     a_pp = np.zeros((rank, rank), dtype=np.int64)  # before the walk: an impossible rank fails here
     a_pm = np.zeros((rank, rank), dtype=np.int64)
-    for k, (sign, b) in enumerate(_loops(form)):
-        pp, pm = (0, -1) if sign < 0 else (-1, 0)
-        if b % 2:
-            pp = pm = -1
-        if pp - b // 2 < -(2**63):  # below the int64 range
-            raise ValueError(f"{form.name}: coefficient {b} is too large for an int64 matrix")
-        a_pp[k, k] = pp - b // 2
-        a_pm[k, k] = pm
-        if k:  # loops k-1 and k share clasp k
-            a_pm[(k - 1, k) if sign < 0 else (k, k - 1)] = 1
+    loops = _loops(form)
+    diagonal = [(-1 if b % 2 or sign > 0 else 0) - b // 2 for sign, b in loops]
+    if loops and min(diagonal) < -(2**63):  # below the int64 range
+        b = next(b for (_, b), d in zip(loops, diagonal) if d < -(2**63))
+        raise ValueError(f"{form.name}: coefficient {b} is too large for an int64 matrix")
+    a_pp.flat[:: rank + 1] = diagonal
+    a_pm.flat[:: rank + 1] = [-1 if b % 2 or sign < 0 else 0 for sign, b in loops]
+    # Loops k-1 and k share clasp k: a 1 above the diagonal for its sign -1, below for +1.
+    shared = np.array([sign for sign, _ in loops[1:]], dtype=np.int64)
+    a_pm.flat[1 :: rank + 1] = shared < 0
+    a_pm.flat[rank :: rank + 1] = shared > 0
     return GeneralizedSeifertSystem(
         mu=2,
         rank=rank,

@@ -435,6 +435,16 @@ READER_CASES = {
     "uint8": lambda: np.array([[2, 1], [1, 2]], dtype=np.uint8),
     "integral-float-array": lambda: np.array([[2.0, 1.0], [1.0, 2.0]]),
     "fractional-float-array": lambda: np.array([[2.5, 1.0], [1.0, 2.0]]),
+    "float32-array": lambda: np.array([[2, 1], [1, 2]], dtype=np.float32),
+    "integral-complex-array": lambda: np.array([[2, 1], [1, 2]], dtype=complex),
+    "complex-array": lambda: np.array([[2, 1j], [-1j, 2]]),
+    "complex-array-nan-imaginary": lambda: np.array([[2, complex(0, math.nan)], [0, 2]]),
+    "float-array-nan": lambda: np.array([[math.nan, 0], [0, 1]]),
+    "float-array-inf": lambda: np.array([[1, 0], [0, -math.inf]]),
+    "float-array-at-int64-bounds": lambda: np.array([[-(2.0**63), 1], [1, 2.0**62]]),
+    "float-array-beyond-int64": lambda: np.array([[2.0**63, 1], [1, 2]]),
+    "float-array-beyond-float-range": lambda: np.array([[1e308, 0], [0, 1]]),
+    "bool-array": lambda: np.array([[True, False], [False, True]]),
     "object-array": lambda: np.array([[2, 1], [1, 2**70]], dtype=object),
     "object-array-holding-a-list": object_array_holding_a_list,
     "numpy-ints-in-lists": lambda: [[np.int64(2), np.int32(1)], [np.uint8(1), np.int16(2)]],
@@ -494,6 +504,13 @@ class TestOneWalkReader:
         assert bordered_delta([[1, 0], [0, 1]], [0, 0], 1) == (1, 0)
         assert calls == []
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_integral_float_and_complex_arrays_convert_at_once(self, monkeypatch, dtype):
+        h = h_at_minus_ones(build_gss(ConwayForm.parse("4,3," * 40 + "2")))
+        monkeypatch.setattr(ccomplex, "exact_int", None)  # any entry-by-entry read fails
+        assert exact_int_rows(h.astype(dtype)) == h.tolist()
+        assert integer_symmetric_signature(h.astype(dtype)) == (-80, 0, 0, 80)
+
 
 ENTRIES = st.one_of(
     st.integers(-3, 3),
@@ -519,7 +536,9 @@ def reader_inputs(draw):
         matrix = [[draw(entry) for _ in range(draw(lengths))] for _ in range(n)]
         if kind == "square" and draw(st.booleans()):
             matrix = [[matrix[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    container = draw(st.sampled_from(["list", "tuple", "int64", "uint8", "float", "object"]))
+    container = draw(
+        st.sampled_from(["list", "tuple", "int64", "uint8", "float", "complex", "object"])
+    )
     if container == "tuple":
         return tuple(tuple(row) if isinstance(row, list) else row for row in matrix)
     if container != "list":

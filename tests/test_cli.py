@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from linksig import catalog, invariants
-from linksig.cli import _BOUND_FLAGS, _FORMULAS, _flag, build_parser, main
+from linksig.cli import _BOUND_FLAGS, _FORMULAS, _flag, _negative_values, build_parser, main
 
 from conftest import write_mixed_system
 
@@ -810,7 +811,159 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--tol", "1e-3"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: linksig {argv[0]} ")
+        assert f"linksig {argv[0]}: error: unrecognized arguments: --tol 1e-3\n" in err
+
+
+class Parsed(Exception):
+    """Raised in place of running a command; carries the namespace that was parsed."""
+
+
+def parse_outcome(capsys, monkeypatch, call):
+    """The namespace that ``call`` parses, with no command run, or, where the
+    parse exits, its exit code, stdout and stderr."""
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def stop(self, *args, **kwargs):
+        raise Parsed(parse_args(self, *args, **kwargs))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_args", stop)
+        try:
+            call()
+        except Parsed as exc:
+            return exc.args[0]
+        except SystemExit as exc:
+            return (exc.code, *capsys.readouterr())
+    raise AssertionError("nothing was parsed")
+
+
+#: Argument lists that the full parser and ``main`` must read alike: the shapes
+#: of the CLI tests' commands (valid, or rejected by the command after the parse),
+#: then ``--``, abbreviated and ``=`` flags, a repeated flag, help after a
+#: command, a missing or bad value, and what names no command.
+PARSE_CORPUS = [
+    ["sig", "C(4,3,2)", "--omega", "1/2,1/2"],
+    ["sig", "system.json", "--omega", "1/3,1/4"],
+    ["sig", "C(4,3,2)", "--omega", "-1/3,1/2"],
+    ["sig", "C(4,3,2)", "--omega", "0.5,0.5"],
+    ["scan", "C(4,3,2)", "--res", "31", "--out", "scan.csv"],
+    ["scan", "system.json", "--out", "/dev/null", "--res", "0"],
+    ["bound", "split-lt", "L9a29"],
+    ["bound", "split-lt", "fixture.json"],
+    ["bound", "split-multi", "L9a29"],
+    ["bound", "rank", "L9a24"],
+    ["bound", "split-lt", "L9a29", "--sigma-l", "99", "--mu", "5"],
+    ["bound", "linking", "--lk", "0", "--nonsplit", "1,2"],
+    ["bound", "linking", "--lk", "1,0,0", "--nonsplit", "1,2", "--split", "2,3"],
+    ["bound", "linking", "--lk", "-1,0,2", "--nonsplit", "1,3"],
+    ["bound", "linking", "--lk", "1", "--mu", "-3"],
+    ["bound", "split-lt", "--mu", "2", "--sigma-l", "5", "--eta-l", "0", "--total-lk", "-1",
+     "--component", "2,0", "--component", "0,0"],
+    ["bound", "split-lt", "--mu", "2", "--sigma-l", "0", "--eta-l", "1", "--total-lk", "1",
+     "--component", "1,1", "--component=-1,1", "--omega", "1/6,1/6"],
+    ["bound", "split-multi", "--mu", "2", "--sigma-l", "0", "--eta-l", "0",
+     "--omega", "1/2,1/2,1/2"],
+    ["bound", "unlink", "--mu", "2", "--sigma-l", "0", "--eta-l", "0", "--lk", "1"],
+    ["twobridge", "4,3,2"],
+    ["twobridge", "2"],
+    ["twobridge", "4,3,2", "--omega", "1/3,1/5"],
+    ["twobridge", "4,,3,2"],
+    ["sig", "--omega", "1/2,1/2", "--", "C(4,3,2)"],
+    ["sig", "C(4,3,2)", "--", "--omega", "1/2,1/2"],
+    ["bound", "split-lt", "--", "L9a29"],
+    ["twobridge", "--", "4,3,2"],
+    ["sig", "C(4,3,2)", "--om", "1/2,1/2"],
+    ["sig", "C(4,3,2)", "--omega=1/2,1/2"],
+    ["sig", "C(4,3,2)", "--om=1/3,1/3"],
+    ["twobridge", "4,3,2", "--o", "1/3,1/5"],
+    ["bound", "split-lt", "--mu", "2", "--sig", "0", "--eta", "1", "--total", "1",
+     "--comp", "-1,1"],
+    ["bound", "linking", "--lk", "1", "--s", "1,2"],
+    ["sig", "C(4,3,2)", "--omega", "1/3,1/3", "--omega", "1/2,1/2"],
+    ["scan", "C(4,3,2)", "--res", "3", "--res", "5", "--out", "scan.csv"],
+    ["sig", "-h"],
+    ["bound", "split-lt", "-h"],
+    ["twobridge", "4,3,2", "--help"],
+    ["sig", "C(4,3,2)"],
+    ["sig", "C(4,3,2)", "--omega"],
+    ["scan", "C(4,3,2)", "--res", "3"],
+    ["scan", "C(4,3,2)", "--res", "1_0", "--out", "scan.csv"],
+    ["bound"],
+    ["bound", "nonsense"],
+    [],
+    ["-h"],
+    ["nonsense"],
+    ["--", "sig", "C(4,3,2)", "--omega", "1/2,1/2"],
+]
+
+#: Argument lists with an argument that no parser recognizes.
+UNRECOGNIZED = [
+    ["sig", "C(4,3,2)", "--omega", "1/2,1/2", "extra"],
+    ["sig", "C(4,3,2)", "--omega", "1/2,1/2", "--"],
+    ["scan", "C(4,3,2)", "--res", "3", "--out", "scan.csv", "--tol", "1e-3"],
+    ["bound", "split-lt", "L9a29", "extra"],
+    ["twobridge", "4,3,2", "--tol", "1e-3"],
+]
+
+
+class TestOneParse:
+    """``main`` hands a command's arguments to that command's parser alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sig", "C(4,3,2)", "--omega", "1/3,1/3"],
+            ["scan", "C(4,3,2)", "--res", "3", "--out", "OUT"],
+            ["bound", "split-lt", "L9a29"],
+            ["bound", "split-multi", "--mu", "2", "--sigma-l", "-2", "--eta-l", "0"],
+            ["twobridge", "4,3,2", "--omega", "1/3,1/5"],
+        ],
+        ids=["sig", "scan", "bound-fixture", "bound-inline", "twobridge"],
+    )
+    def test_one_parse_per_command(self, capsys, monkeypatch, tmp_path, argv):
+        argv = [str(tmp_path / "s.csv") if token == "OUT" else token for token in argv]
+        parses = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def count(self, *args, **kwargs):
+            parses.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", count)
+        assert main(argv) == 0
+        assert parses == [f"linksig {argv[0]}"]
+
+    def test_same_result_as_the_full_parser(self, capsys, monkeypatch):
+        corpus = PARSE_CORPUS + [argv for argv, _ in readme_commands()]
+        for argv in corpus:
+            full = parse_outcome(
+                capsys, monkeypatch, lambda: build_parser().parse_args(_negative_values(argv))
+            )
+            assert parse_outcome(capsys, monkeypatch, lambda: main(argv)) == full, argv
+
+    def test_top_level_cases(self, capsys):
+        for argv, code, text in [([], 2, "the following arguments are required: command"),
+                                 (["nonsense"], 2, "invalid choice: 'nonsense'"),
+                                 (["-h"], 0, "usage: linksig [-h] {sig,scan,bound,twobridge}")]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            assert text in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", UNRECOGNIZED, ids=lambda argv: argv[0])
+    def test_unrecognized_argument_is_reported_by_the_command(self, capsys, monkeypatch, argv):
+        code, out, err = parse_outcome(capsys, monkeypatch, lambda: main(argv))
+        full = parse_outcome(
+            capsys, monkeypatch, lambda: build_parser().parse_args(_negative_values(argv))
+        )
+        assert (code, out) == full[:2] == (2, "")
+        # Only the usage line and the prog before "error:" differ.
+        assert full[2].startswith("usage: linksig [-h] ")
+        assert err.startswith(f"usage: linksig {argv[0]} [-h] ")
+        message = full[2].split("\nlinksig: error: ", 1)[1]
+        assert err.endswith(f"\nlinksig {argv[0]}: error: {message}")
 
 
 def run_sequence(capsys, commands) -> list[tuple]:

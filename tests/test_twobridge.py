@@ -69,6 +69,25 @@ class TestConwayForm:
         with pytest.raises(ValueError, match="positive"):
             ConwayForm.parse("-2")
 
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            ((4, 0, 2), "C(4,0,2): coefficient 0 at position 2 must be positive"),
+            ((3, -1, 2), "C(3,-1,2): coefficient 3 at odd position 1 must be even; "),
+            ((2, -1, 3), "C(2,-1,3): coefficient -1 at position 2 must be positive"),
+            ((2, 1, 2, 2, 5), "C(2,1,2,2,5): coefficient 5 at odd position 5 must be even; "),
+            ((2, True, 2), "non-integer value True"),
+        ],
+    )
+    def test_names_the_first_offending_coefficient(self, coefficients, message):
+        with pytest.raises(ValueError) as exc:
+            ConwayForm(coefficients)
+        assert str(exc.value).startswith(message)
+
+    def test_reads_exact_integers_as_python_ints(self):
+        coefficients = ConwayForm((2.0, 1 + 0j, np.int64(2))).coefficients
+        assert coefficients == (2, 1, 2) and {type(c) for c in coefficients} == {int}
+
     def test_rejects_garbage(self):
         for text in ["4,x,2", "4,,3,2", "4,3,2,", "4_0,3,2", "\u0664,3,2"]:
             with pytest.raises(ValueError, match=f"invalid Conway form '{text}'"):
