@@ -387,11 +387,11 @@ def assemble_h(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> np.ndarray:
 def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
     """Exact integer H at omega = (-1, ..., -1).
 
-    Every factor (1 - conj(omega_i)^eps_i) equals 2 there, so the value is
-    2^mu times the sum of the full matrix family.  One loop adds each matrix,
-    read by :func:`int_array`, and its transpose: in int64 when the largest
-    entry proves that the sum cannot wrap, and in Python integers (an object
-    array) otherwise.
+    Every factor (1 - conj(omega_i)^eps_i) equals 2 there, and A^(-eps) is
+    (A^eps)^T, so the value is 2^mu (S + S^T) with S the sum of the canonical
+    matrices, each read by :func:`int_array`.  S is summed in int64 when the
+    largest entry proves that no entry of the result can wrap, and in Python
+    integers (an object array) otherwise.
     """
     import numpy as np
 
@@ -399,11 +399,8 @@ def h_at_minus_ones(gss: GeneralizedSeifertSystem) -> np.ndarray:
     largest = max((max(-int(a.min()), int(a.max())) for a in matrices if a.size), default=0)
     # Every entry of the result is at most 2^mu * 2 * len(matrices) * largest.
     fits = (largest * 2 * len(matrices)) << gss.mu <= np.iinfo(np.int64).max
-    total = np.zeros((gss.rank, gss.rank), dtype=np.int64 if fits else object)
-    for a in matrices:
-        a = a.astype(total.dtype)
-        total += a + a.T
-    return (2**gss.mu) * total
+    s = sum(a.astype(np.int64 if fits else object) for a in matrices)
+    return (2**gss.mu) * (s + s.T)
 
 
 def record_field(record: Mapping, key: str, convert=exact_int):

@@ -62,7 +62,7 @@ def _flag(name: str) -> str:
 
 def _ints(flag: str, item: str, expects: str | None = None) -> list[int]:
     """The comma-separated integers of one ``flag`` value; given ``expects``, exactly two."""
-    fields = item.split(",")
+    fields = item.split(",") if item else []
     if expects and len(fields) != 2:
         raise ValueError(f"{expects}, got {item!r}")
     try:

@@ -52,14 +52,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .ccomplex import (
     GeneralizedSeifertSystem,
     TorusPoint,
-    assemble_h,
     assemble_stack,
     h_at_minus_ones,
     torus_coordinate,
@@ -236,8 +234,8 @@ def signature_nullity(gss: GeneralizedSeifertSystem, omega: TorusPoint) -> tuple
     if omega.mu == gss.mu and omega.is_minus_ones():
         result = integer_symmetric_signature(h_at_minus_ones(gss))
         return result.signature, result.nullity
-    # assemble_h rejects a point with the wrong number of coordinates.
-    positives, negatives, _ = inertia_stack(assemble_h(gss, omega)[None])
+    # assemble_stack rejects a point with the wrong number of coordinates.
+    positives, negatives, _ = inertia_stack(assemble_stack(gss, [omega.values()]))
     p, q = int(positives[0]), int(negatives[0])
     return p - q, gss.rank - p - q
 
@@ -251,8 +249,7 @@ def lt_signature_from_multivariable(
     total linking number between colors from the signature; the nullity is
     the diagonal nullity unchanged.  Requires linking data when mu > 1.
     """
-    q = Fraction(omega_scalar)
-    point = TorusPoint.diagonal(q, gss.mu)
+    point = TorusPoint.diagonal(omega_scalar, gss.mu)
     sigma, eta = signature_nullity(gss, point)
     if gss.mu == 1:
         return sigma, eta

@@ -50,23 +50,20 @@ class ConwayForm:
 
     Requires an odd number of positive coefficients with every odd-position
     coefficient even, i.e. the shape C(2a_1, b_1, 2a_2, ..., b_{n-1}, 2a_n).
-    Coefficients are read by :func:`exact_int`, so none is truncated.
+    Every coefficient is read by :func:`exact_int`, so none is truncated, and
+    checked in one loop.
     """
 
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        if set(map(type, coeffs)) != {int}:
-            coeffs = tuple(map(exact_int, coeffs))
+        coeffs = tuple(map(exact_int, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs or len(coeffs) % 2 == 0:
             raise ValueError(
                 f"{self.name}: expected an odd number of coefficients "
                 "(the supported family is C(2a_1,b_1,...,2a_n))"
             )
-        if min(coeffs) > 0 and not any(c % 2 for c in coeffs[::2]):
-            return
         for position, c in enumerate(coeffs, start=1):  # name the first offending one
             if c <= 0:
                 raise ValueError(

@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import io
+import itertools
 import json
 import shlex
 import tracemalloc
@@ -6,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from linksig import catalog, invariants
 from linksig.cli import _BOUND_FLAGS, _FORMULAS, _flag, _negative_values, build_parser, main
@@ -497,8 +502,10 @@ class TestBound:
             (["unlink", "--mu", "100000", "--sigma-l", "0", "--eta-l", "0", "--lk", "1"],
              "linking data needs 4999950000 values for mu=100000, got 1"),
             (["linking", "--lk", "1", "--mu", "-3"], "mu must be at least 1"),
+            (["linking", "--lk", "", "--mu", "2"], "linking data needs 1 values for mu=2, got 0"),
         ],
-        ids=["linking", "unlink", "linking-mu-100000", "unlink-mu-100000", "linking-mu-negative"],
+        ids=["linking", "unlink", "linking-mu-100000", "unlink-mu-100000", "linking-mu-negative",
+             "linking-empty-mu-2"],
     )
     def test_lk_count_mismatch_exits_2(self, capsys, argv, error):
         code, out, err = run(capsys, "bound", *argv)
@@ -654,6 +661,32 @@ class TestBound:
         )
         assert code == 0
         assert "raw=2" in out and "value=1" in out
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["unlink", "--mu", "1", "--sigma-l", "2", "--eta-l", "0", "--lk", ""],
+             "formula=unlink value=1 raw=2"),
+            (["linking", "--lk", ""], "formula=linking value=0 total_lk=0 lk_parity=even"),
+        ],
+        ids=["unlink-mu-1", "linking"],
+    )
+    def test_empty_lk_lists_no_pair(self, capsys, argv, expected):
+        # mu = 1 has mu(mu-1)/2 = 0 pairwise linking numbers.
+        assert run(capsys, "bound", *argv) == (0, f"{expected}\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["split-lt", "--mu", "2", "--sigma-l", "0", "--eta-l", "0", "--total-lk", "1",
+              "--component", ""], "--component expects 'sigma,eta', got ''"),
+            (["linking", "--lk", "0", "--nonsplit", ""], "pair flags expect 'i,j', got ''"),
+            (["linking", "--lk", "0", "--split", ""], "pair flags expect 'i,j', got ''"),
+        ],
+        ids=["component", "nonsplit", "split"],
+    )
+    def test_empty_two_field_value_exits_2(self, capsys, argv, error):
+        assert run(capsys, "bound", *argv) == (2, "", f"error: {error}\n")
 
     def test_negative_first_value_takes_the_equals_form(self, capsys):
         # "--component=-1,1" is one token; main joins "--component -1,1" into it.
@@ -1009,6 +1042,83 @@ class TestRepeatedCalls:
         for (code, out, err), (expected_code, text) in zip(fresh, expected):
             assert code == expected_code and text in out + err
         assert build_parser() is parser
+
+
+#: Entries that a JSON file can hold in place of a small integer: integers past
+#: float64, int64 and 2^64, floats at and past the edges, and what is no number.
+ODD_ENTRIES = [10**9, 10**12, 2**53 + 1, 2**63, 2**70, 1e308, -1e308, 0.5, float("nan"),
+               float("inf"), -float("inf"), True, None, "1", [], [1]]
+
+
+@st.composite
+def system_commands(draw):
+    """A system document, sound but for at most two drawn flaws in its fields, its
+    pattern keys, its row lengths, its entries, its optional linking matrix or the
+    angle count, and the arguments of a ``sig`` (angles) or ``scan`` (a resolution)."""
+    flaw = st.sampled_from([None, "fields", "keys", "rows", "entries", "linking", "angles"])
+    flaws = {draw(flaw), draw(flaw)}
+    mu = draw(st.sampled_from([0, "2", 2.0, True]) if "fields" in flaws else st.integers(1, 4))
+    rank = draw(st.sampled_from([-1, "2", 2.5]) if "fields" in flaws else st.integers(0, 4))
+    colors = mu if type(mu) is int and mu > 0 else 2
+    size = rank if type(rank) is int and rank >= 0 else 2
+    entries = st.integers(-3, 3)
+    if "entries" in flaws:  # one odd value among the small integers
+        entries = st.one_of(entries, st.just(draw(st.sampled_from(ODD_ENTRIES))))
+    keys = ["".join(p) for p in itertools.product("+-", repeat=colors) if p[0] == "+"]
+    if "keys" in flaws:  # missing, extra and malformed keys
+        keys = draw(st.lists(st.sampled_from(keys), unique=True))
+        keys += draw(st.lists(st.sampled_from(["-" * colors, "+" * (colors + 1), "", "+x", "1"]),
+                              max_size=2))
+
+    def matrix():
+        lengths = [draw(st.integers(0, size + 1)) if "rows" in flaws else size
+                   for _ in range(size)]
+        return [draw(st.lists(entries, min_size=n, max_size=n)) for n in lengths]
+
+    doc = {"mu": mu, "rank": rank, "matrices": {key: matrix() for key in keys}}
+    if draw(st.booleans()):
+        upper = {(i, j): draw(entries) for i in range(colors) for j in range(i, colors)}
+        doc["linking"] = [[upper[min(i, j), max(i, j)] for j in range(colors)]
+                          for i in range(colors)]
+        if "linking" in flaws:
+            doc["linking"][0][-1] = draw(st.sampled_from(ODD_ENTRIES))
+    count = draw(st.integers(1, 4)) if "angles" in flaws else colors
+    angles = st.sampled_from(["1/3", "1/2", "2/3", "1/6", "5/7", f"1/{10**20}"])
+    if draw(st.booleans()):
+        return doc, ["scan", "--res", str(draw(st.integers(1, 5)))]
+    return doc, ["sig", "--omega", ",".join(draw(st.lists(angles, min_size=count,
+                                                           max_size=count)))]
+
+
+class TestRobustness:
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(system_commands())
+    # Entries at the float range: H(1/3) overflows, where H(1/2) is exact in integers.
+    @example(({"mu": 1, "rank": 2, "matrices": {"+": [[1e308, 0], [1, 2]]}},
+              ["sig", "--omega", "1/3"]))
+    @example(({"mu": 1, "rank": 2, "matrices": {"+": [[1e308, 0], [1, 2]]}},
+              ["scan", "--res", "3"]))
+    def test_any_system_file_exits_cleanly(self, tmp_path, case):
+        """``sig`` and ``scan`` on any system document exit 0, 2 or 3: on 0 with a
+        clean stderr, else with nothing on stdout and one message per stderr line."""
+        doc, (command, *options) = case
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        if command == "scan":
+            options += ["--out", str(tmp_path / "scan.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *options])  # a warning raises: filterwarnings=error
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3)
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == "" and err
+            assert all(line.startswith(("error: ", "invariant violation: "))
+                       for line in err.splitlines())
 
 
 def readme_block(heading: str, language: str) -> str:
