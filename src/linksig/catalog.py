@@ -28,7 +28,7 @@ from importlib import resources
 
 from . import bounds, ccomplex
 
-_CONWAY_NAME = re.compile(r"^C\(([-0-9,\s]+)\)$")
+_CONWAY_NAME = re.compile(r"^C\((.*)\)$")
 
 
 class CatalogError(Exception):

@@ -16,11 +16,11 @@ is assembled at any point omega of the torus with no coordinate equal to 1.
 Its signature and nullity are the multivariable link invariants consumed by
 the rest of the package.
 
-A system stores its matrices as given, nested lists or arrays alike, and
-:func:`exact_int_rows` is the one exact reader of either: one walk reads it as
-Python rows for :func:`validate`, or into an array for :func:`int_array`; the
-float route (:func:`assemble_stack`) is the other.  Only the functions that
-build arrays import numpy, so reading and validating a system loads none.
+A system stores its matrices as given, nested lists or arrays alike.  The one
+exact reader, :func:`exact_int_rows`, lists an integer array at once and reads
+any other matrix entry by entry, as Python rows for :func:`validate` or into an
+array for :func:`int_array`; :func:`assemble_stack` is the float route.  Only the
+functions that build arrays import numpy, so reading and validating a system loads none.
 """
 
 from __future__ import annotations
@@ -81,18 +81,10 @@ def shape_of(value) -> tuple[int, ...]:
 
 def exact_int_rows(matrix) -> list[list[int]]:
     """The rows of a square matrix, nested lists, tuples or an array, as Python ints,
-    read in one walk: an integer array by one ``tolist()``, so too a float or complex
-    array whose entries are all integers within int64, a row of ints as it is and
-    any other entry by :func:`exact_int`.  Only a failure calls :func:`shape_of`,
+    read in one walk: an integer array by one ``tolist()``, a row of ints as it is
+    and any other entry by :func:`exact_int`.  Only a failure calls :func:`shape_of`,
     to word the message: the shape's if it is not square, else the entry's."""
     square = hasattr(matrix, "shape") and matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1]
-    if square and matrix.size and matrix.dtype.kind in "fc":
-        # Integral, zero imaginary part and within int64 (which NaN and inf are
-        # not): converted at once.  Anything else is read entry by entry below.
-        real = matrix.real
-        if (not matrix.imag.any() and (real == real.round()).all()
-                and -(2.0**63) <= real.min() and real.max() < 2.0**63):
-            matrix = real.astype("int64")
     rows = matrix.tolist() if square else matrix
     if square and matrix.dtype.kind in "iu":
         return rows

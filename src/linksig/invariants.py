@@ -123,25 +123,20 @@ def _chunks(gss: GeneralizedSeifertSystem, axis: np.ndarray, indices: np.ndarray
 
 def _inertia(gss, axis, indices, positives, negatives, abs_det, leading=0) -> np.ndarray:
     """Classify the samples at ``indices`` by the rule of :func:`inertia_stack`, in
-    place.  Returns, for each of the first ``leading`` samples, its least-magnitude
-    eigenvalue and the second-least magnitude (inf below rank 2)."""
+    place.  Returns, for each of the first ``leading`` samples, its least eigenvalue,
+    the one of least magnitude (on a tie the later in eigvalsh's ascending order, the
+    nonnegative one), and the second-least magnitude (inf below rank 2)."""
     least, done = np.empty((leading, 2)), 0
     for chunk, values in _chunks(gss, axis, indices, gss.mu):
         eigenvalues, threshold = _eigenvalues(assemble_stack(gss, values))
         positives[chunk], negatives[chunk], abs_det[chunk] = _spectrum(eigenvalues, threshold)
         if done < leading:
-            # eigvalsh sorts ascending, so with k negative eigenvalues the two least
-            # magnitudes are among e[k - 2], e[k - 1], e[k] and e[k + 1].
-            eigenvalues = eigenvalues[: leading - done]
-            inf, rows = np.full((len(eigenvalues), 2), np.inf), np.arange(len(eigenvalues))
-            padded = np.concatenate((-inf, eigenvalues, inf), axis=1)
-            k = (eigenvalues < 0).sum(axis=-1)
-            below2, below, above, above2 = (np.abs(padded[rows, k + j]) for j in range(4))
-            lower = below < above  # the least is e[k - 1]
-            least[done : done + len(rows), 0] = np.where(lower, -below, above)
-            least[done : done + len(rows), 1] = np.where(
-                lower, np.minimum(below2, above), np.minimum(below, above2)
-            )
+            # Reversed, so that argmin, which takes the first of a tie, takes the later one.
+            magnitudes = np.abs(eigenvalues[: leading - done, ::-1])
+            rows, pick = np.arange(len(magnitudes)), magnitudes.argmin(axis=-1)
+            least[done : done + len(rows), 0] = eigenvalues[rows, -1 - pick]
+            magnitudes[rows, pick] = np.inf
+            least[done : done + len(rows), 1] = magnitudes.min(axis=-1)
         done += len(chunk)
     return least
 

@@ -103,6 +103,17 @@ class TestSig:
                 2, "", f"error: angle {angle} rounds to the excluded coordinate 1\n"
             )
 
+    def test_signed_conway_coefficient(self, capsys):
+        # A C(...) token reads its coefficients as twobridge does.
+        assert run(capsys, "sig", "C(+4,3,2)", "--omega", "1/2,1/2") == (0, "sigma=-2 eta=0\n", "")
+
+    @pytest.mark.parametrize("form, token", [("4_0,3,2", "4_0"), ("abc", "abc"), ("", "")],
+                             ids=["underscore", "letters", "empty"])
+    def test_malformed_conway_form_exits_2(self, capsys, form, token):
+        error = f"error: invalid Conway form {form!r}: invalid literal for int() with base 10: "
+        code, out, err = run(capsys, "sig", f"C({form})", "--omega", "1/2,1/2")
+        assert (code, out, err) == (2, "", f"{error}{token!r}\n")
+
     @pytest.mark.parametrize(
         "change, code, errors",
         [
@@ -290,6 +301,13 @@ class TestScan:
         ]
         rows = [line.split(",") for line in out_path.read_text().strip().split("\n")[1:]]
         assert [row[:4] for row in rows] == expected
+
+    def test_signed_conway_coefficient(self, capsys, tmp_path):
+        signed, plain = tmp_path / "signed.csv", tmp_path / "plain.csv"
+        code, out, err = run(capsys, "scan", "C(+4,3,2)", "--res", "5", "--out", str(signed))
+        assert (code, out, err) == (0, "rows=25 min_eta=0 near_zero_det=0\n", "")
+        run(capsys, "scan", "C(4,3,2)", "--res", "5", "--out", str(plain))
+        assert signed.read_bytes() == plain.read_bytes()
 
     def test_zero_system(self, capsys, tmp_path):
         path = write_zero_system(tmp_path, rank=2)

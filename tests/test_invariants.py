@@ -610,6 +610,43 @@ class TestTorusScan:
         assert grid.abs_det[4] == integer_inertia(h)[1]
 
 
+def least_pick(system, axis, indices, leading):
+    """``invariants._inertia``'s (least eigenvalue, second-least magnitude) for the
+    first ``leading`` samples at ``indices``, and its inertia for all of them."""
+    size = len(axis) ** system.mu
+    positives, negatives, abs_det = np.empty(size, int), np.empty(size, int), np.empty(size)
+    least = invariants._inertia(system, axis, indices, positives, negatives, abs_det, leading)
+    return least, (positives[indices], negatives[indices], abs_det[indices])
+
+
+class TestLeastEigenvalue:
+    def test_tie_takes_the_nonnegative_eigenvalue(self):
+        # mu = 1 and A = diag(-1, 1): H = diag(-4, 4) at 1/2.
+        system = GeneralizedSeifertSystem(1, 2, {"+": [[-1, 0], [0, 1]]})
+        least, _ = least_pick(system, np.array([-1.0 + 0j]), np.arange(1), 1)
+        assert least.tolist() == [[4.0, 4.0]]
+
+    def test_rank_1_has_no_second_magnitude(self):
+        system = GeneralizedSeifertSystem(1, 1, {"+": [[-3]]})
+        least, _ = least_pick(system, np.array([-1.0 + 0j]), np.arange(1), 1)
+        assert least.tolist() == [[-12.0, math.inf]]
+
+    @pytest.mark.parametrize("mu, rank, resolution", [(1, 2, 7), (2, 5, 4), (2, 40, 5), (3, 3, 3)])
+    def test_matches_the_pointwise_oracle(self, mu, rank, resolution):
+        system = random_system(np.random.default_rng(rank), mu, rank)
+        axis = np.array([torus_coordinate(t) for t in invariants._axis(resolution)])
+        indices = np.random.default_rng(mu).permutation(resolution**mu)
+        leading = 2 * len(indices) // 3  # rank 40 has 10 samples per chunk: crosses chunks
+        least, inertia = least_pick(system, axis, indices, leading)
+        digits = resolution ** np.arange(mu - 1, -1, -1)
+        coordinates = axis[indices[:, None] // digits % resolution]
+        stack = assemble_stack(system, coordinates)
+        assert [a.tolist() for a in inertia] == [a.tolist() for a in hermitian.inertia_stack(stack)]
+        for eigenvalues, (value, second) in zip(np.linalg.eigvalsh(stack), least):
+            assert value == min(eigenvalues, key=lambda x: (abs(x), -x))
+            assert second == sorted(np.abs(eigenvalues))[1]
+
+
 def reference_csv(grid):
     """The scan CSV rendered row by row, every cell formatted on its own."""
     axis = [f"{k / (grid.resolution + 1):.12g}" for k in range(1, grid.resolution + 1)]
