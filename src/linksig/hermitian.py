@@ -6,17 +6,16 @@ one ``eigvalsh`` call; it checks only that the entries are finite.
 ``hermitian_signature`` is the checking entry point for one matrix of any
 origin: it rejects asymmetry beyond the tolerance and symmetrizes the rest
 before ``inertia_stack``.  ``integer_symmetric_signature`` is exact, and its
-route follows rank and entry size, never the container of the form.  From
-rank ``CERTIFIED_MIN_RANK`` on it takes up to three steps.  A form whose
-diagonal is strictly one-signed first gets one Cholesky factorization of a
-shifted copy, whose residual, rigorously bounded, certifies it definite.
-What that leaves undecided goes to ``integer_inertia``, which certifies the
-signs of one ``eigh``'s eigenvalues by congruence and a rigorous radius and
-also gives |det| (a scan's all-1/2 middle sample takes both from it).  What
-is still undecided goes to fraction-free elimination, whose primitive rows
-stay below the Bareiss minors.  Both certificates bound their residuals by
-one rule, ``_radius``.  Both eigenvalue routes count signs and |det| by one
-rule, ``_spectrum``, and differ only in the margin: the threshold
+route follows the form's band, rank and entry size, never the container of
+the form.  A tridiagonal form, at any rank, takes the recurrence of its
+leading minors, whose signs give the signs of its LDL^T pivots in O(n)
+integer steps.  From rank ``CERTIFIED_MIN_RANK`` on, any other form first
+goes to ``integer_inertia``, which certifies the signs of one ``eigh``'s
+eigenvalues by congruence and a rigorous radius, ``_radius``, and also
+gives |det| (a scan's all-1/2 middle sample takes both from it).  What is
+left undecided goes to fraction-free elimination, whose primitive rows stay
+below the Bareiss minors.  Both eigenvalue routes count signs and |det| by
+one rule, ``_spectrum``, and differ only in the margin: the threshold
 ``DEFAULT_TOL * max(1, max |entry|)`` or the certified radius.  The routes
 must agree whenever both apply; the tests lean on that.
 
@@ -36,12 +35,12 @@ from .ccomplex import exact_int, exact_int_rows, int_array, shape_of  # importab
 
 #: Relative tolerance of the floating-point zero test; it is not a parameter.
 DEFAULT_TOL = 1e-9
-#: Rank from which :func:`integer_symmetric_signature` tries its floating-point
-#: certificates before elimination, which is faster below it.  On an x86-64
-#: box with one BLAS thread, elimination takes 3.9 us at rank 2 and 13-16 us at
-#: rank 5, where each certificate takes 26-29 us.  At rank 10 elimination takes
-#: 36 us on a definite tridiagonal 4T and 72 us on a dense indefinite form, the
-#: Cholesky certificate 27 us and the eigh certificate 32-35 us.
+#: Rank from which :func:`integer_symmetric_signature` tries the ``eigh``
+#: certificate on a form that is not tridiagonal before elimination, which is
+#: faster below it.  On an x86-64 box with one BLAS thread, on dense definite
+#: and indefinite forms with entries of at most 3, elimination takes 14-31 us at
+#: rank 5, 35-60 us at rank 9, 44-74 us at rank 10 and 54-113 us at rank 12,
+#: and the certificate 39-42, 44-46, 45-48 and 51-55 us.
 CERTIFIED_MIN_RANK = 10
 
 
@@ -144,11 +143,6 @@ def _exact_form(matrix) -> np.ndarray:
     return a
 
 
-def _float_exact(a: np.ndarray) -> bool:
-    """Whether ``a`` is an integer array whose float64 copy is exact."""
-    return a.dtype.kind in "iu" and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53)
-
-
 def _gap(residual: np.ndarray) -> float:
     """The larger absolute row or column sum of ``residual``, a bound on its 2-norm."""
     residual = np.abs(residual)
@@ -168,40 +162,9 @@ def _radius(n: int, gap: float, spread) -> float:
     u = 2.0**-53
     # (2n + 2)u >= gamma_2n, and the factor covers every rounded sum and
     # product here.  Underflow adds below (n^4 + n^1.5 ||V||_F) 2^-1074 to the
-    # V^T A V of integer_inertia and below n^4 2^-1074 to the LL^T of _definite:
-    # less than 2^-900 for n < 2^30 and ||V||_F < 2^100, and else far below the rest.
+    # V^T A V of integer_inertia: less than 2^-900 for n < 2^30 and
+    # ||V||_F < 2^100, and else far below the rest.
     return (1 + 4 * (n + 2) ** 2 * u) * (gap + (2 * n + 2) * u * spread) + 2.0**-900
-
-
-def _definite(a: np.ndarray) -> SignatureResult | None:
-    """The inertia of an integer array ``a`` that one Cholesky factorization
-    certifies definite, or None.
-
-    Only a strictly one-signed diagonal (sign s) can belong to a definite
-    form, and ``a``, from :func:`_exact_form`, needs an exact float copy.  The
-    shift c is twice the radius of a zero residual with the trace of sA as
-    its spread.  With L = cholesky(fl(sA - cI)), the residual is
-    LL^T - fl(sA - cI), and its spread is ||L||_F^2 >= || |L||L^T| ||_2 plus
-    the largest fl(sa_ii - c), which covers the rounding of the shift.  If the
-    radius r is below c, then sA = LL^T + cI - X with ||X||_2 <= r < c.  LL^T
-    is positive semidefinite for any L, so every eigenvalue of sA is at least
-    c - r > 0.  Nothing of ``cholesky`` is trusted.
-    """
-    diagonal = np.diagonal(a)
-    sign = 1 if diagonal.min() > 0 else -1 if diagonal.max() < 0 else 0
-    if not sign or not _float_exact(a):
-        return None
-    n = len(a)
-    b = sign * a.astype(float)
-    shift = 2 * _radius(n, 0.0, b.trace())
-    b[np.diag_indices(n)] -= shift
-    try:
-        l = np.linalg.cholesky(b)
-    except np.linalg.LinAlgError:
-        return None
-    if not _radius(n, _gap(l @ l.T - b), np.vdot(l, l) + np.diagonal(b).max()) < shift:
-        return None
-    return SignatureResult(sign * n, 0, n * (sign > 0), n * (sign < 0))
 
 
 def integer_inertia(matrix) -> tuple[SignatureResult, float]:
@@ -227,7 +190,7 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     except OverflowError:
         raise ValueError("matrix entries beyond floating-point range") from None
     n, radius = len(a), np.inf
-    if _float_exact(a):
+    if a.dtype != object and (a.size == 0 or -(2**53) <= a.min() <= a.max() <= 2**53):
         residual = v.T @ (f @ v)
         residual[np.diag_indices(n)] -= lam
         radius = _radius(n, _gap(residual), np.vdot(v, v) * np.abs(f).sum(1).max(initial=0.0))
@@ -240,20 +203,28 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
 def integer_symmetric_signature(matrix) -> SignatureResult:
     """Exact signature and nullity of an integer symmetric matrix.
 
-    A form of rank at least ``CERTIFIED_MIN_RANK`` with entries of at most
-    2^53, in a list or any array, may be certified in floating point, in
-    two steps.  If its diagonal is strictly one-signed, one checked
-    Cholesky factorization may certify it definite (``_definite``).  Else, or
-    if that declines, :func:`integer_inertia` may certify it by one ``eigh``.
-    Anything else, and what both certificates leave undecided, takes
-    fraction-free elimination on Python integers: row i of the working
-    matrix is a positive multiple of row i of the current Schur complement,
-    so diagonal signs are exact and no denominator is tracked.
+    A tridiagonal form, of any rank and entry size, is decided by the
+    recurrence p_k = d_k p_(k-1) - e_(k-1)^2 p_(k-2) of its leading minors:
+    pivot k of LDL^T is p_k / p_(k-1), so it counts as positive when p_k and
+    p_(k-1) have one sign (Sylvester's law of inertia; the count behind
+    Sturm-sequence bisection, Golub and Van Loan, Matrix Computations).  A
+    zero minor with a nonzero coupling e_k closes a hyperbolic 2 x 2 block
+    (one positive, one negative eigenvalue), whose Schur complement leaves
+    d_(k+2) unchanged; with e_k = 0 it adds one to the nullity.  Either way
+    the recurrence starts afresh after it, so every p_k is a principal minor
+    and below Hadamard's bound.
+    Any other form of rank at least ``CERTIFIED_MIN_RANK`` with entries of
+    at most 2^53, in a list or any array, may be certified in floating point
+    by one ``eigh`` (:func:`integer_inertia`).  Anything else, and what the
+    certificate leaves undecided, takes fraction-free elimination on Python
+    integers: row i of the working matrix is a positive multiple of row i of
+    the current Schur complement, so diagonal signs are exact and no
+    denominator is tracked.
     A 1 x 1 step pivots on the nonzero diagonal entry of least magnitude;
     with a zero diagonal, a 2 x 2 step eliminates a hyperbolic block (one
     positive, one negative eigenvalue); what is left when every entry is 0
     is the nullity.  Only rows with a nonzero entry in the pivot columns are
-    updated (O(n^2) for tridiagonal forms), each then divided by its gcd.
+    updated, each then divided by its gcd.
     A primitive row divides its Schur-complement row times det A[K, K],
     whose entries are the Bareiss minors det A[K+i, K+j] for pivot set K, so
     no entry exceeds Hadamard's bound.
@@ -261,9 +232,36 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
     Raises ``ValueError`` for non-square, non-integer or non-symmetric input.
     """
     a = _exact_form(matrix)
+    diagonal, couplings = np.diagonal(a), np.diagonal(a, 1)
+    if np.count_nonzero(a) == np.count_nonzero(diagonal) + 2 * np.count_nonzero(couplings):
+        return _tridiagonal(diagonal.tolist(), couplings.tolist())
     if len(a) >= CERTIFIED_MIN_RANK and a.dtype != object:
-        return _definite(a) or integer_inertia(a)[0]
+        return integer_inertia(a)[0]
     return _eliminate(a.tolist())
+
+
+def _tridiagonal(d: list[int], e: list[int]) -> SignatureResult:
+    """Inertia of the symmetric tridiagonal form with diagonal ``d`` and
+    couplings ``e`` (``e[k]`` joins k and k + 1), by the recurrence that
+    :func:`integer_symmetric_signature` describes; ``before`` and ``last`` are
+    the two latest minors since the last restart, ``before`` 0 at a restart."""
+    positives = negatives = nullity = k = 0
+    n, before, last = len(d), 0, 1
+    while k < n:
+        minor = d[k] * last - e[k - 1] ** 2 * before if before else d[k]
+        if minor:
+            if (minor > 0) == (last > 0):
+                positives += 1
+            else:
+                negatives += 1
+            before, last, k = last, minor, k + 1
+            continue
+        if k + 1 < n and e[k]:
+            positives, negatives, k = positives + 1, negatives + 1, k + 2
+        else:
+            nullity, k = nullity + 1, k + 1
+        before, last = 0, 1
+    return SignatureResult(positives - negatives, nullity, positives, negatives)
 
 
 def _eliminate(a: list[list[int]]) -> SignatureResult:

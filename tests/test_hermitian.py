@@ -472,6 +472,14 @@ def eliminated(matrix) -> SignatureResult:
     return hermitian._eliminate(exact_int_rows(matrix))
 
 
+def routes(matrix):
+    """The result of integer_symmetric_signature and its calls of cholesky, eigh and _eliminate."""
+    wrapped = mock.patch.object(hermitian, "_eliminate", wraps=hermitian._eliminate)
+    with counted("cholesky") as cholesky, counted("eigh") as eigh, wrapped as eliminate:
+        result = integer_symmetric_signature(matrix)
+    return result, (cholesky.call_count, eigh.call_count, eliminate.call_count)
+
+
 def near_singular(n: int) -> np.ndarray:
     """[[n, n - 1], [n - 1, n - 2]]: determinant -1, eigenvalues about 2n and -1/(2n)."""
     return np.array([[n, n - 1], [n - 1, n - 2]], dtype=np.int64)
@@ -594,8 +602,7 @@ class TestIntegerInertia:
     @pytest.mark.parametrize("seed", [7, 31])
     def test_known_forms(self, seed):
         # The benchmark's form sizes.  Each has eta > 0, so the certificate
-        # must decline, and elimination gives the known inertia.  None has a
-        # one-signed diagonal, so none is offered to Cholesky.
+        # must decline, and elimination gives the known inertia.
         rng = np.random.default_rng(seed)
         for n, hyperbolic in [(56, 0), (48, 0), (40, 0), (56, 28), (48, 24)]:
             form, sigma, eta = known_form(rng, n, hyperbolic)
@@ -617,9 +624,8 @@ class TestIntegerInertia:
             assert certified(form) == SignatureResult(2 * p - n, 0, p, n - p)
 
     def test_rejects_non_symmetric_at_the_certified_rank(self):
-        # eigh and cholesky read one triangle only, and an entry of 1 off it is
-        # well inside the eigenvalues' margin: only the symmetry check catches
-        # it.  The diagonal is one-signed, so the definite step sees it first.
+        # eigh reads one triangle only, and an entry of 1 off it is well
+        # inside the eigenvalues' margin: only the symmetry check catches it.
         for sign in (1, -1):
             m = sign * np.diag(np.arange(CERTIFIED_MIN_RANK) + 100)
             m[0, -1] = 1
@@ -637,20 +643,27 @@ class TestIntegerInertia:
         )
         with route, counted("cholesky") as cholesky:
             for n in (CERTIFIED_MIN_RANK - 1, CERTIFIED_MIN_RANK):
-                # An indefinite and a definite form.
-                for m in (np.diag(np.arange(n) - 2), np.diag(np.arange(n) + 1)):
+                # A singular indefinite and a definite form, not tridiagonal.
+                for m in (cornered(np.diag(np.arange(n) - 2)), cornered(np.diag(np.arange(n) + 1))):
                     assert integer_symmetric_signature(m) == eliminated(m)
                     # Integral floats, object arrays of small ints and lists take the same route.
                     assert integer_symmetric_signature(m.astype(float)) == eliminated(m)
                     assert integer_symmetric_signature(m.astype(object)) == eliminated(m)
                     assert integer_symmetric_signature(m.tolist()) == eliminated(m)
-        # The indefinite form goes to eigh, the definite one to Cholesky, once per container.
-        assert calls == [CERTIFIED_MIN_RANK] * 4
-        assert [len(call.args[0]) for call in cholesky.call_args_list] == calls
+        # Both forms go to eigh, once per container.
+        assert calls == [CERTIFIED_MIN_RANK] * 8
+        assert cholesky.call_count == 0
 
 
 #: An integer array as itself, a nested list, an integral float array and an object array.
 CONTAINERS = (lambda m: m, np.ndarray.tolist, lambda m: m.astype(float), lambda m: m.astype(object))
+
+
+def cornered(m: np.ndarray) -> np.ndarray:
+    """``m`` with 1 at its corners (0, n - 1) and (n - 1, 0): not tridiagonal for n > 2."""
+    m = m.copy()
+    m[0, -1] = m[-1, 0] = 1
+    return m
 
 
 def alternating(n: int) -> np.ndarray:
@@ -665,10 +678,12 @@ class TestExactForm:
 
     # (form, calls of cholesky, eigh and _eliminate)
     ROUTES = {
-        "definite-12": (lambda: tridiagonal(12, np.random.default_rng(12)), (1, 0, 0)),
-        "indefinite-12": (lambda: alternating(12), (0, 1, 0)),
-        "singular-12": (lambda: np.diag(np.arange(12) - 2), (0, 1, 1)),
-        "rank-9": (lambda: np.diag(np.arange(9) - 2), (0, 0, 1)),
+        "definite-12": (lambda: cornered(tridiagonal(12, np.random.default_rng(12))), (0, 1, 0)),
+        "indefinite-12": (lambda: cornered(alternating(12)), (0, 1, 0)),
+        "singular-12": (lambda: cornered(np.diag(np.arange(12) - 2)), (0, 1, 1)),
+        "rank-9": (lambda: cornered(np.diag(np.arange(9) - 2)), (0, 0, 1)),
+        "tridiagonal-9": (lambda: np.diag(np.arange(9) - 2), (0, 0, 0)),
+        "tridiagonal-12": (lambda: tridiagonal(12, np.random.default_rng(12)), (0, 0, 0)),
     }
 
     @pytest.mark.parametrize("form", ROUTES)
@@ -676,11 +691,7 @@ class TestExactForm:
         make, expected = self.ROUTES[form]
         m = make()
         for container in CONTAINERS:
-            wrapped = mock.patch.object(hermitian, "_eliminate", wraps=hermitian._eliminate)
-            with counted("cholesky") as cholesky, counted("eigh") as eigh, wrapped as eliminate:
-                result = integer_symmetric_signature(container(m))
-            assert (cholesky.call_count, eigh.call_count, eliminate.call_count) == expected
-            assert result == eliminated(m)
+            assert routes(container(m)) == (eliminated(m), expected)
 
     @pytest.mark.parametrize("matrix", [[], [[]], [[], []], [[1, 2], [3]]], ids=repr)
     def test_non_square_input_is_rejected(self, matrix):
@@ -690,8 +701,7 @@ class TestExactForm:
 
     @pytest.mark.parametrize("n", [CERTIFIED_MIN_RANK - 1, CERTIFIED_MIN_RANK + 2])
     def test_asymmetric_entry_is_named_before_any_factorization(self, n):
-        # (1, 4) is the first asymmetric pair in row-major order; a one-signed
-        # diagonal would offer the form to Cholesky first.
+        # (1, 4) is the first asymmetric pair in row-major order.
         m = np.diag(np.arange(n) + 1)
         m[4, 1], m[2, n - 1] = 5, -1
         for container in CONTAINERS:
@@ -700,11 +710,6 @@ class TestExactForm:
                     with pytest.raises(ValueError, match=r"^matrix is not symmetric at \(1, 4\)$"):
                         entry(container(m))
                 assert cholesky.call_count == eigh.call_count == 0
-
-
-def definite(matrix):
-    """The inertia that the Cholesky certificate decides, or None where it declines."""
-    return hermitian._definite(np.asarray(matrix))
 
 
 def tridiagonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -716,17 +721,15 @@ def tridiagonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 @st.composite
 def definite_inputs(draw):
-    """Integer forms of rank CERTIFIED_MIN_RANK to 40 with a one-signed diagonal,
-    times a random sign: B^T D B with D >= 1 (definite for a unimodular B, at
-    worst singular for a random one), tridiagonal 4T forms, and G + mI with G a
+    """Dense integer forms of rank CERTIFIED_MIN_RANK to 40 with a one-signed
+    diagonal, times a random sign: B^T D B with D >= 1 (definite for a
+    unimodular B, at worst singular for a random one), and G + mI with G a
     singular sum of outer products vv^T, |v_i| <= 2^26, so that the least
-    eigenvalue m sits near the certificate's shift (entries up to 2^53 + m)."""
+    eigenvalue m sits near the certificate's radius (entries up to 2^53 + m)."""
     n = draw(st.integers(CERTIFIED_MIN_RANK, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["product", "unimodular", "tridiagonal", "near_singular"]))
-    if kind == "tridiagonal":
-        m = tridiagonal(n, rng)
-    elif kind == "near_singular":
+    kind = draw(st.sampled_from(["product", "unimodular", "near_singular"]))
+    if kind == "near_singular":
         v = rng.integers(-(2**26), 2**26 + 1, size=(draw(st.integers(1, 2)), n))
         m = v.T @ v + draw(st.integers(0, 2**14)) * np.eye(n, dtype=np.int64)
     else:
@@ -739,68 +742,51 @@ def definite_inputs(draw):
 @settings(deadline=None, max_examples=150)
 @given(definite_inputs())
 def test_definite_certificate_agrees_with_elimination(m):
-    decided = definite(m)
+    decided = certified(m)
     assert decided is None or decided == eliminated(m)
     assert integer_symmetric_signature(m) == eliminated(m)
 
 
-def wrong_cholesky(make):
-    """Patch ``np.linalg.cholesky`` to return ``make(b, factor)`` for the shifted
-    form b it is handed, ``factor`` being the real one."""
-    factor = np.linalg.cholesky
-    return mock.patch.object(np.linalg, "cholesky", lambda b: make(b, factor))
+@st.composite
+def tridiagonal_inputs(draw):
+    """(d, e, form): a symmetric tridiagonal form of rank 0 to 12 with diagonal
+    d and couplings e, zero pivots and zero couplings frequent, at times ending
+    in a hyperbolic block [[0, e], [e, x]]; scaled beyond 2^63, in an object array."""
+    n = draw(st.integers(0, 12))
+    d = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3]), min_size=n, max_size=n))
+    e = draw(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    if n >= 2 and draw(st.booleans()):
+        d[-2], e[-1] = 0, draw(st.sampled_from([1, -1, 2]))
+        if n > 2:
+            e[-2] = 0
+    d_scale, e_scale = draw(st.sampled_from([(1, 1), (2**64, 1), (2**64, 2**32), (1, 2**64)]))
+    d, e = [x * d_scale for x in d], [x * e_scale for x in e]
+    form = np.zeros((n, n), dtype=object)
+    form[np.diag_indices(n)] = d
+    form[np.arange(n - 1), np.arange(1, n)] = form[np.arange(1, n), np.arange(n - 1)] = e
+    return d, e, form if max(d_scale, e_scale) > 1 else form.astype(np.int64)
 
 
-class TestDefinite:
+@settings(deadline=None, max_examples=400)
+@given(tridiagonal_inputs())
+def test_tridiagonal_recurrence_agrees_with_elimination(inputs):
+    d, e, form = inputs
+    assert hermitian._tridiagonal(d, e) == eliminated(form) == integer_symmetric_signature(form)
+
+
+class TestTridiagonal:
     @pytest.mark.parametrize("form", TWOBRIDGE_FORMS)
-    def test_two_bridge_forms_take_cholesky_only(self, form):
+    def test_two_bridge_forms_take_the_recurrence_only(self, form):
         h = h_at_minus_ones(build_gss(ConwayForm.parse(form)))
-        with counted("cholesky") as cholesky, counted("eigh") as eigh:
-            result = integer_symmetric_signature(h)
-        assert result == SignatureResult(-80, 0, 0, 80) == definite(h)
-        assert cholesky.call_count == 1 and eigh.call_count == 0
+        assert routes(h) == (SignatureResult(-80, 0, 0, 80), (0, 0, 0))
+        assert eliminated(h) == SignatureResult(-80, 0, 0, 80)
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_least_eigenvalue_against_the_shift(self, sign):
-        # G + mI with G = vv^T of rank 1, entries near 2^52: the shift c is
-        # in the hundreds, so m = 1 is declined and m = 10^6 decided, each
-        # as elimination decides.
-        v = np.random.default_rng(3).integers(2**25, 2**26, size=(1, 20))
-        for m, decided in [(1, False), (10**6, True)]:
-            form = sign * (v.T @ v + m * np.eye(20, dtype=np.int64))
-            assert (definite(form) is not None) == decided
-            assert integer_symmetric_signature(form) == eliminated(form) == (
-                SignatureResult(20 * sign, 0, 20 * (sign > 0), 20 * (sign < 0))
-            )
-
-    def test_any_cholesky_output_is_checked(self):
-        # LL^T is positive semidefinite for any L, so only its residual can
-        # tell a right factor from a wrong one.  Each wrong one is declined,
-        # and the eigh certificate still decides the definite form.
-        a = tridiagonal(20, np.random.default_rng(20))
-        shift = lambda b: (-a - b)[0, 0]  # b = -a - cI, rounded
-        wrong = [
-            lambda b, factor: factor(b) * (1 + 1e-9),
-            lambda b, factor: factor(b + 3 * shift(b) * np.eye(len(b))),  # of -a + 2cI
-            lambda b, factor: np.tril(np.random.default_rng(1).standard_normal(b.shape)),
-            lambda b, factor: np.full_like(b, np.nan),
-        ]
-        for make in wrong:
-            with wrong_cholesky(make):
-                assert definite(a) is None
-                assert integer_symmetric_signature(a) == SignatureResult(-20, 0, 0, 20)
-
-    def test_indefinite_one_signed_diagonal_falls_through(self):
-        # [[2, 3], [3, 2]] has eigenvalues 5 and -1; bordered by 2I to the
-        # certified rank, no factor can pass for it.
-        m = 2 * np.eye(CERTIFIED_MIN_RANK, dtype=np.int64)
-        m[0, 1] = m[1, 0] = 3
-        expected = SignatureResult(CERTIFIED_MIN_RANK - 2, 0, CERTIFIED_MIN_RANK - 1, 1)
-        with counted("cholesky") as cholesky, counted("eigh") as eigh:
-            assert integer_symmetric_signature(m) == eliminated(m) == expected
-        assert cholesky.call_count == eigh.call_count == 1
-        # The factors of b + tI are real factors of definite forms near it.
-        for t in (1 + 1e-9, 1.5, 4.0, 100.0):
-            with wrong_cholesky(lambda b, factor: factor(b + t * np.eye(len(b)))):
-                assert definite(m) is None
-                assert integer_symmetric_signature(m) == expected
+    @pytest.mark.parametrize("n, expected", [(CERTIFIED_MIN_RANK - 1, (0, 0, 1)), (12, (0, 1, 0))])
+    def test_permuted_tridiagonal_form_keeps_the_dense_route(self, n, expected):
+        # Congruent to a tridiagonal form, but its nonzeros leave the band.
+        form = tridiagonal(n, np.random.default_rng(n))
+        perm = np.r_[n - 1, 1 : n - 1, 0]
+        permuted = form[np.ix_(perm, perm)]
+        assert np.count_nonzero(np.triu(permuted, 2))
+        assert routes(form) == (SignatureResult(-n, 0, 0, n), (0, 0, 0))
+        assert routes(permuted) == (SignatureResult(-n, 0, 0, n), expected)

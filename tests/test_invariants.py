@@ -597,11 +597,11 @@ class TestTorusScan:
 
     def test_definite_middle_sample_keeps_its_eigh(self, monkeypatch):
         # H(-1,-1) = 4T of this two-bridge form is negative definite at rank 10,
-        # which integer_symmetric_signature would certify by Cholesky; a scan's
-        # middle sample takes its inertia and |det| from integer_inertia's eigh.
+        # which integer_symmetric_signature decides by the tridiagonal recurrence;
+        # a scan's middle sample takes its inertia and |det| from integer_inertia's eigh.
         system = build_gss(ConwayForm.parse("4,3,4,3,4,3,4,3,4,3,2"))
         h = h_at_minus_ones(system)
-        assert system.rank == 10 and hermitian._definite(h) == (-10, 0, 0, 10)
+        assert system.rank == 10 and integer_symmetric_signature(h) == (-10, 0, 0, 10)
         with count_factorizations(monkeypatch) as matrices:
             grid = torus_scan(system, 3)
         assert matrices["eigh"] == [1] and matrices["cholesky"] == []

@@ -221,11 +221,12 @@ class TestTheoremRoundTrip:
                 checked += 1
         assert checked == 3 + 3 * 3 * 3
 
-    def test_rank_80_forms_take_the_certified_route(self, capsys, monkeypatch):
-        def no_elimination(rows):
-            raise AssertionError("elimination reached")
+    def test_rank_80_forms_take_the_exact_route(self, capsys, monkeypatch):
+        def reached(*args):
+            raise AssertionError("elimination, eigh or cholesky reached")
 
-        monkeypatch.setattr(hermitian, "_eliminate", no_elimination)
+        for owner, name in [(hermitian, "_eliminate"), (np.linalg, "eigh"), (np.linalg, "cholesky")]:
+            monkeypatch.setattr(owner, name, reached)
         for text in RANK_80_FORMS:
             form = ConwayForm.parse(text)
             assert build_gss(form).rank == 80
