@@ -14,9 +14,10 @@ goes to ``integer_inertia``, which certifies the signs of one ``eigh``'s
 eigenvalues by congruence and a rigorous radius, ``_radius``, and also
 gives |det| (a scan's all-1/2 middle sample takes both from it).  What is
 left undecided goes to fraction-free elimination, whose primitive rows stay
-below the Bareiss minors.  Both eigenvalue routes count signs and |det| by
-one rule, ``_spectrum``, and differ only in the margin: the threshold
-``DEFAULT_TOL * max(1, max |entry|)`` or the certified radius.  The routes
+below the Bareiss minors.  It runs on int64 arrays while every product
+fits, and on Python integers after that.  Both eigenvalue routes count
+signs and |det| by one rule, ``_spectrum``, and differ only in the margin:
+the threshold ``DEFAULT_TOL * max(1, max |entry|)`` or the certified radius.  The routes
 must agree whenever both apply; the tests lean on that.
 
 ``bordered_delta`` measures how the signature and nullity react when a
@@ -180,9 +181,9 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     eigenvalue of M is within r of its lam.  If every |lam| > r, M is
     nonsingular, hence so are V and A, and by Sylvester's law of inertia
     the signs of lam are the inertia of A.  Anything else goes to the
-    elimination of :func:`integer_symmetric_signature`, with its errors;
-    an entry beyond floating-point range or a NaN eigenvalue raises
-    ``ValueError``.
+    elimination of :func:`integer_symmetric_signature`, with its errors,
+    which runs on A as an int64 array while every product fits; an entry
+    beyond floating-point range or a NaN eigenvalue raises ``ValueError``.
     """
     a = _exact_form(matrix)
     try:
@@ -197,7 +198,7 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     p, q, abs_det = _spectrum(lam, radius)
     if p + q == n:
         return SignatureResult(int(p - q), 0, int(p), int(q)), float(abs_det)
-    return _eliminate(a.tolist()), float(abs_det)
+    return _eliminate(a), float(abs_det)
 
 
 def integer_symmetric_signature(matrix) -> SignatureResult:
@@ -216,15 +217,17 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
     Any other form of rank at least ``CERTIFIED_MIN_RANK`` with entries of
     at most 2^53, in a list or any array, may be certified in floating point
     by one ``eigh`` (:func:`integer_inertia`).  Anything else, and what the
-    certificate leaves undecided, takes fraction-free elimination on Python
-    integers: row i of the working matrix is a positive multiple of row i of
-    the current Schur complement, so diagonal signs are exact and no
-    denominator is tracked.
+    certificate leaves undecided, takes fraction-free elimination: row i of
+    the working matrix is a positive multiple of row i of the current Schur
+    complement, so diagonal signs are exact and no denominator is tracked.
+    What the certificate leaves runs on int64 arrays while a bound in Python
+    integers shows that no product or difference of a step reaches 2^63, and
+    on Python integers after that, as do smaller ranks.
     A 1 x 1 step pivots on the nonzero diagonal entry of least magnitude;
     with a zero diagonal, a 2 x 2 step eliminates a hyperbolic block (one
     positive, one negative eigenvalue); what is left when every entry is 0
     is the nullity.  Only rows with a nonzero entry in the pivot columns are
-    updated, each then divided by its gcd.
+    updated, each then divided by its gcd; int64 steps give the same rows.
     A primitive row divides its Schur-complement row times det A[K, K],
     whose entries are the Bareiss minors det A[K+i, K+j] for pivot set K, so
     no entry exceeds Hadamard's bound.
@@ -264,8 +267,16 @@ def _tridiagonal(d: list[int], e: list[int]) -> SignatureResult:
     return SignatureResult(positives - negatives, nullity, positives, negatives)
 
 
-def _eliminate(a: list[list[int]]) -> SignatureResult:
-    positives = negatives = 0
+def _eliminate(a) -> SignatureResult:
+    """The elimination of :func:`integer_symmetric_signature` on ``a``, a list
+    of rows or an integer array.  An array that fits int64 takes int64 steps
+    (:func:`_int64_steps`) while every product fits; the rows left then, and
+    any other input, take the loop on Python integers."""
+    n, positives, negatives = len(a), 0, 0
+    if isinstance(a, np.ndarray):
+        if a.dtype != object:
+            positives, negatives, a = _int64_steps(a)
+        a = a.tolist()
     while a:
         m = len(a)
         k = min((i for i in range(m) if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
@@ -304,7 +315,58 @@ def _eliminate(a: list[list[int]]) -> SignatureResult:
                     [h * x - c_l * y - c_k * z for x, y, z in zip(row, row_l, row_k)]
                 )
 
-    return SignatureResult(positives - negatives, len(a), positives, negatives)
+    return SignatureResult(positives - negatives, n - positives - negatives, positives, negatives)
+
+
+def _int64_steps(a: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The steps of :func:`_eliminate` on an integer array, as int64 updates of
+    one working copy w, while none can wrap: (positives, negatives, rest),
+    where ``rest`` holds the rows and columns of w still nonzero.
+
+    A step updates the rows with a nonzero f, the pivot column, to
+    ``p w - f row`` or the hyperbolic form, which zeroes the pivot rows and
+    columns, and divides each by its gcd.  It runs only when a bound in
+    Python integers on every product and difference, from |p| and the
+    largest |entry| of w, f and row, stays below 2^63, and so must every
+    |entry| of the input, read in its own dtype.  Rows keep the zero pattern
+    of the symmetric Schur complement, so ``rest`` is square.
+    """
+    if not a.size or not -(2**63) < int(a.min()) <= int(a.max()) < 2**63:
+        return 0, 0, a
+    n, positives, negatives = len(a), 0, 0
+    w = a.astype(np.int64)
+    while (largest := int(np.abs(w).max())) > 0:
+        diagonal = np.abs(w.diagonal())
+        pivots = np.flatnonzero(diagonal)
+        if pivots.size:
+            k = pivots[diagonal[pivots].argmin()]
+            p, f = int(w[k, k]), w[:, k]
+            row = w[k] if p > 0 else -w[k]
+            if abs(p) * largest + int(np.abs(f).max()) * int(np.abs(row).max()) >= 2**63:
+                break
+            touched = np.flatnonzero(f)
+            update = abs(p) * w[touched] - np.outer(f[touched], row)
+            if p > 0:
+                positives += 1
+            else:
+                negatives += 1
+        else:
+            k, l = divmod(int(np.flatnonzero(w)[0]), n)
+            h_kl, h_lk = int(w[k, l]), int(w[l, k])
+            h, c_l, c_k = h_kl * h_lk, w[:, k], w[:, l]
+            bound = h * largest
+            bound += int(np.abs(c_l).max()) * abs(h_kl) * int(np.abs(w[l]).max())
+            bound += int(np.abs(c_k).max()) * abs(h_lk) * int(np.abs(w[k]).max())
+            if bound >= 2**63:
+                break
+            touched = np.flatnonzero(c_l | c_k)
+            update = h * w[touched]
+            update -= np.outer(c_l[touched] * h_kl, w[l]) + np.outer(c_k[touched] * h_lk, w[k])
+            positives, negatives = positives + 1, negatives + 1
+        update //= np.maximum(np.gcd.reduce(update, axis=1), 1)[:, None]
+        w[touched] = update
+    live = w.any(axis=1)
+    return positives, negatives, w[np.ix_(live, live)]
 
 
 def bordered_delta(matrix, border, corner):

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import TWOBRIDGE_FORMS, known_form, unit_lower
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linksig import hermitian
@@ -338,9 +338,12 @@ class TestIntegerSymmetricSignature:
         positives = int((d > 0).sum()) + r
         negatives = int((d < 0).sum()) + r
         nullity = int((d == 0).sum()) + 2 * (m - r)
-        assert integer_symmetric_signature(form) == SignatureResult(
-            positives - negatives, nullity, positives, negatives
-        )
+        expected = SignatureResult(positives - negatives, nullity, positives, negatives)
+        assert integer_symmetric_signature(form) == expected
+        # The certificate declines it (eta > 0), and every step of its
+        # elimination, hyperbolic ones included, runs on int64.
+        assert handed_off(form) == (expected, (0, 1, 1), [(0, 0)])
+        assert handed_off(form.tolist()) == (expected, (0, 1, 1), [(0, 0)])
 
 
 class TestBorderedDelta:
@@ -478,6 +481,87 @@ def routes(matrix):
     with counted("cholesky") as cholesky, counted("eigh") as eigh, wrapped as eliminate:
         result = integer_symmetric_signature(matrix)
     return result, (cholesky.call_count, eigh.call_count, eliminate.call_count)
+
+
+def handed_off(matrix):
+    """:func:`routes` of ``matrix``, and the shape of what the int64 steps of
+    each _eliminate call left to the loop on Python integers."""
+    steps, rests = hermitian._int64_steps, []
+
+    def recorded(a):
+        positives, negatives, rest = steps(a)
+        rests.append(rest.shape)
+        return positives, negatives, rest
+
+    with mock.patch.object(hermitian, "_int64_steps", recorded):
+        return (*routes(matrix), rests)
+
+
+@st.composite
+def int64_step_inputs(draw):
+    """Integer symmetric arrays for the int64 steps of _eliminate: known forms
+    ``P (L D L^T (+) [[0, M], [M^T, 0]]) P^T`` of rank 10 to 60 with eta > 0,
+    whose rows stay in int64; generic G D G^T, whose rows outgrow it partway;
+    entries up to 2^53, which hand off before the first step; forms with zero
+    diagonal and entries up to 2^24, whose first hyperbolic step comes near
+    2^63 and at times beyond; and unsigned forms with entries up to 2^64 - 1.
+    Signed forms come as int64, int32 or int8 wherever their entries fit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["known", "generic", "large", "hyperbolic", "unsigned"]))
+    if kind == "unsigned":
+        n = draw(st.integers(1, 12))
+        entries = st.sampled_from([0, 1, 3, 2**31, 2**62, 2**63 - 1, 2**63, 2**64 - 1])
+        m = np.array([[draw(entries) for _ in range(n)] for _ in range(n)], dtype=np.uint64)
+        return np.triu(m) + np.triu(m, 1).T
+    if kind == "known":
+        n = draw(st.integers(10, 60))
+        m = known_form(rng, n, 2 * draw(st.integers(0, n // 4)))[0]
+    elif kind == "generic":
+        n = draw(st.integers(12, 30))
+        g = rng.integers(-3, 4, size=(n, n))
+        m = g @ np.diag(rng.choice([-3, -1, 0, 1, 2], size=n)) @ g.T
+    else:
+        n = draw(st.integers(2, 12))
+        bound = 2 ** (53 if kind == "large" else draw(st.integers(1, 24)))
+        m = np.triu(rng.integers(-bound, bound + 1, size=(n, n)), 1 if kind == "hyperbolic" else 0)
+        m = m + np.triu(m, 1).T
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.int8]))
+    info = np.iinfo(dtype)
+    return m.astype(dtype) if info.min <= m.min(initial=0) <= m.max(initial=0) <= info.max else m
+
+
+def unsigned_beyond_int64() -> np.ndarray:
+    """Signature 11 and nullity 1; read as int64, each 2^63 would wrap to -2^63."""
+    m = np.diag([2**63] * 11 + [0]).astype(np.uint64)
+    m[0, 1] = m[1, 0] = 1
+    return m
+
+
+@settings(deadline=None, max_examples=150)
+@given(int64_step_inputs())
+@example(unsigned_beyond_int64())
+def test_int64_steps_agree_with_the_python_loop(m):
+    # An overflow warning would fail this test too: pytest turns warnings into errors.
+    assert hermitian._eliminate(m) == hermitian._eliminate(m.tolist())
+
+
+@pytest.mark.parametrize(
+    "form, first",
+    [
+        # Pivot x: entry (1, 2) becomes x x - (-x) x = 2x^2, which is 2^63 at x = 2^31.
+        (lambda x: [[x, -x, x], [-x, 0, x], [x, x, 0]], 2**31),
+        # Pair (0, 1), h = x^2: entry (2, 3) becomes 3x^3, which first reaches 2^63 at x = 1454084.
+        (lambda x: [[0, x, x, -x], [x, 0, x, -x], [x, x, 0, x], [-x, -x, x, 0]], 1454084),
+    ],
+    ids=["pivot", "hyperbolic"],
+)
+def test_int64_steps_stop_where_an_entry_would_reach_2_63(form, first):
+    # One entry meets every term of the bound at once, so the bound is exact here.
+    for x, steps in [(first - 1, True), (first, False)]:
+        m = np.array(form(x))
+        positives, negatives, _ = hermitian._int64_steps(m)
+        assert (positives + negatives > 0) == steps
+        assert hermitian._eliminate(m) == hermitian._eliminate(m.tolist())
 
 
 def near_singular(n: int) -> np.ndarray:
