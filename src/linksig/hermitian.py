@@ -14,11 +14,11 @@ goes to ``integer_inertia``, which certifies the signs of one ``eigh``'s
 eigenvalues by congruence and a rigorous radius, ``_radius``, and also
 gives |det| (a scan's all-1/2 middle sample takes both from it).  What is
 left undecided goes to fraction-free elimination, whose primitive rows stay
-below the Bareiss minors.  It runs on int64 arrays while every product
-fits, and on Python integers after that.  Both eigenvalue routes count
-signs and |det| by one rule, ``_spectrum``, and differ only in the margin:
-the threshold ``DEFAULT_TOL * max(1, max |entry|)`` or the certified radius.  The routes
-must agree whenever both apply; the tests lean on that.
+below the Bareiss minors.  From rank ``CERTIFIED_MIN_RANK`` on it runs on
+int64 arrays while every product fits, else on Python integers.  Both
+eigenvalue routes count signs and |det| by one rule, ``_spectrum``, and differ
+only in the margin: the threshold ``DEFAULT_TOL * max(1, max |entry|)`` or the
+certified radius.  The routes must agree whenever both apply; the tests lean on that.
 
 ``bordered_delta`` measures how the signature and nullity react when a
 Hermitian matrix is enlarged by one bordering row/column.  Eigenvalue
@@ -32,16 +32,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ccomplex import exact_int, exact_int_rows, int_array, shape_of  # importable from here too
+from .ccomplex import exact_int_rows, int_array, shape_of
 
 #: Relative tolerance of the floating-point zero test; it is not a parameter.
 DEFAULT_TOL = 1e-9
 #: Rank from which :func:`integer_symmetric_signature` tries the ``eigh``
-#: certificate on a form that is not tridiagonal before elimination, which is
-#: faster below it.  On an x86-64 box with one BLAS thread, on dense definite
-#: and indefinite forms with entries of at most 3, elimination takes 14-31 us at
-#: rank 5, 35-60 us at rank 9, 44-74 us at rank 10 and 54-113 us at rank 12,
-#: and the certificate 39-42, 44-46, 45-48 and 51-55 us.
+#: certificate, on a form that is not tridiagonal, and elimination int64 steps,
+#: each slower below it.  With one BLAS thread on x86-64, on dense forms with
+#: entries of at most 3, elimination takes 14-31, 35-60, 44-74 and 54-113 us at
+#: ranks 5, 9, 10 and 12, and the certificate 39-42, 44-46, 45-48 and 51-55 us.
 CERTIFIED_MIN_RANK = 10
 
 
@@ -181,9 +180,9 @@ def integer_inertia(matrix) -> tuple[SignatureResult, float]:
     eigenvalue of M is within r of its lam.  If every |lam| > r, M is
     nonsingular, hence so are V and A, and by Sylvester's law of inertia
     the signs of lam are the inertia of A.  Anything else goes to the
-    elimination of :func:`integer_symmetric_signature`, with its errors,
-    which runs on A as an int64 array while every product fits; an entry
-    beyond floating-point range or a NaN eigenvalue raises ``ValueError``.
+    elimination of :func:`integer_symmetric_signature`, with its errors and
+    its kernel, picked by dtype and rank alone; an entry beyond
+    floating-point range or a NaN eigenvalue raises ``ValueError``.
     """
     a = _exact_form(matrix)
     try:
@@ -220,9 +219,9 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
     certificate leaves undecided, takes fraction-free elimination: row i of
     the working matrix is a positive multiple of row i of the current Schur
     complement, so diagonal signs are exact and no denominator is tracked.
-    What the certificate leaves runs on int64 arrays while a bound in Python
-    integers shows that no product or difference of a step reaches 2^63, and
-    on Python integers after that, as do smaller ranks.
+    From rank ``CERTIFIED_MIN_RANK`` on it runs on int64 arrays while a bound
+    in Python integers shows that no product or difference of a step reaches
+    2^63, and on Python integers after that, as smaller ranks do throughout.
     A 1 x 1 step pivots on the nonzero diagonal entry of least magnitude;
     with a zero diagonal, a 2 x 2 step eliminates a hyperbolic block (one
     positive, one negative eigenvalue); what is left when every entry is 0
@@ -240,7 +239,7 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
         return _tridiagonal(diagonal.tolist(), couplings.tolist())
     if len(a) >= CERTIFIED_MIN_RANK and a.dtype != object:
         return integer_inertia(a)[0]
-    return _eliminate(a.tolist())
+    return _eliminate(a)
 
 
 def _tridiagonal(d: list[int], e: list[int]) -> SignatureResult:
@@ -267,16 +266,16 @@ def _tridiagonal(d: list[int], e: list[int]) -> SignatureResult:
     return SignatureResult(positives - negatives, nullity, positives, negatives)
 
 
-def _eliminate(a) -> SignatureResult:
-    """The elimination of :func:`integer_symmetric_signature` on ``a``, a list
-    of rows or an integer array.  An array that fits int64 takes int64 steps
-    (:func:`_int64_steps`) while every product fits; the rows left then, and
-    any other input, take the loop on Python integers."""
+def _eliminate(a: np.ndarray) -> SignatureResult:
+    """The elimination of :func:`integer_symmetric_signature` on an integer
+    array, whose dtype and rank alone pick the kernel: from rank
+    ``CERTIFIED_MIN_RANK`` on, a non-object array takes int64 steps
+    (:func:`_int64_steps`) while every product fits, and the rest the loop on
+    Python integers."""
     n, positives, negatives = len(a), 0, 0
-    if isinstance(a, np.ndarray):
-        if a.dtype != object:
-            positives, negatives, a = _int64_steps(a)
-        a = a.tolist()
+    if a.dtype != object and n >= CERTIFIED_MIN_RANK:
+        positives, negatives, a = _int64_steps(a)
+    a = a.tolist()
     while a:
         m = len(a)
         k = min((i for i in range(m) if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
@@ -331,7 +330,7 @@ def _int64_steps(a: np.ndarray) -> tuple[int, int, np.ndarray]:
     |entry| of the input, read in its own dtype.  Rows keep the zero pattern
     of the symmetric Schur complement, so ``rest`` is square.
     """
-    if not a.size or not -(2**63) < int(a.min()) <= int(a.max()) < 2**63:
+    if not -(2**63) < int(a.min()) <= int(a.max()) < 2**63:
         return 0, 0, a
     n, positives, negatives = len(a), 0, 0
     w = a.astype(np.int64)

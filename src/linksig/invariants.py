@@ -290,7 +290,7 @@ def torus_scan(gss: GeneralizedSeifertSystem, resolution: int) -> ScanGrid:
     # A near sample with exactly one root near it and off it vouches for the arc
     # ends beside it on its line (the next and the previous sample, where free),
     # when it is in the classified half and is not the middle.
-    keep = near.ravel()[source] & (source < half) & (source != middle)
+    keep = (source < half) & (source != middle)
     source, offset, radius = source[keep], offset[keep], radius[keep]
     end = np.concatenate((source + 1, source - 1))
     column = source % resolution

@@ -10,13 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linksig import hermitian
-from linksig.ccomplex import h_at_minus_ones
+from linksig.ccomplex import exact_int, exact_int_rows, h_at_minus_ones
 from linksig.hermitian import (
     CERTIFIED_MIN_RANK,
     SignatureResult,
     bordered_delta,
-    exact_int,
-    exact_int_rows,
     hermitian_signature,
     inertia_stack,
     integer_inertia,
@@ -472,7 +470,16 @@ def certified(matrix):
 
 
 def eliminated(matrix) -> SignatureResult:
-    return hermitian._eliminate(exact_int_rows(matrix))
+    """_eliminate's loop on Python integers, which takes every object array."""
+    return hermitian._eliminate(np.array(exact_int_rows(matrix), dtype=object))
+
+
+def int64_then_loop(m: np.ndarray) -> SignatureResult:
+    """The int64 steps on ``m`` at any rank, then the Python-integer loop on the rest."""
+    positives, negatives, rest = hermitian._int64_steps(m)
+    left = eliminated(rest)
+    p, q = positives + left.positives, negatives + left.negatives
+    return SignatureResult(p - q, len(m) - p - q, p, q)
 
 
 def routes(matrix):
@@ -542,7 +549,8 @@ def unsigned_beyond_int64() -> np.ndarray:
 @example(unsigned_beyond_int64())
 def test_int64_steps_agree_with_the_python_loop(m):
     # An overflow warning would fail this test too: pytest turns warnings into errors.
-    assert hermitian._eliminate(m) == hermitian._eliminate(m.tolist())
+    # Ranks below CERTIFIED_MIN_RANK reach the int64 steps only through int64_then_loop.
+    assert hermitian._eliminate(m) == int64_then_loop(m) == eliminated(m)
 
 
 @pytest.mark.parametrize(
@@ -561,7 +569,20 @@ def test_int64_steps_stop_where_an_entry_would_reach_2_63(form, first):
         m = np.array(form(x))
         positives, negatives, _ = hermitian._int64_steps(m)
         assert (positives + negatives > 0) == steps
-        assert hermitian._eliminate(m) == hermitian._eliminate(m.tolist())
+        assert int64_then_loop(m) == eliminated(m)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize("n", [*range(3, CERTIFIED_MIN_RANK), 12])
+def test_elimination_takes_int64_steps_by_rank_alone(n, dtype):
+    # G G^T with n - 1 columns is singular, so the certificate leaves it to
+    # _eliminate, which takes the int64 steps from CERTIFIED_MIN_RANK on only.
+    g = np.random.default_rng(n).integers(0, 2, size=(n, n - 1))
+    m = (g @ g.T).astype(dtype)
+    with mock.patch.object(hermitian, "_int64_steps", wraps=hermitian._int64_steps) as int64:
+        result = integer_inertia(m)[0]
+    assert int64.call_count == (n >= CERTIFIED_MIN_RANK)
+    assert result == eliminated(m) and result.nullity > 0
 
 
 def near_singular(n: int) -> np.ndarray:

@@ -410,8 +410,9 @@ class TestTorusScan:
                    "+-": block_diag([[-1]], [[-1, 1], [0, -1]])}
         )
         # Line 5 fixes omega_1 = 6/12, that is -1, where M has a zero row.
-        near, nu, sign_m, log_m, *_ = invariants._near_roots(singular, axis, 11)
+        near, nu, sign_m, log_m, rooted, _, _ = invariants._near_roots(singular, axis, 11)
         assert near[5].all() and not near[4].all() and not near[6].all()
+        assert rooted.size and near.ravel()[rooted].all()
         # The guard leaves that line's nu and det M at NaN, and only that line's.
         for values in (nu, sign_m, log_m):
             assert np.flatnonzero(np.isnan(values).reshape(11, -1).any(1)).tolist() == [5]
@@ -455,6 +456,7 @@ class TestTorusScan:
         system = scaled_blocks(300, -V5.T, TREFOIL, 1)
         axis = np.exp(2j * np.pi * np.arange(1, 22) / 22)
         near, *_, rooted, offset, radius = invariants._near_roots(system, axis, 1)
+        assert near.ravel()[rooted].all()  # every sample a root is near is a near sample
         # Sample 2, at 3/22, is an arc of its own between near samples 1 and 3,
         # and each of their roots lies between it and them.
         assert np.flatnonzero(near[0][:11]).tolist() == [1, 3, 6]
