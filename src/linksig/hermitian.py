@@ -9,12 +9,14 @@ before ``inertia_stack``.  ``integer_symmetric_signature`` is exact, and its
 route follows the form's band, rank and entry size, never the container of
 the form.  A tridiagonal form, at any rank, takes the recurrence of its
 leading minors, whose signs give the signs of its LDL^T pivots in O(n)
-integer steps.  From rank ``CERTIFIED_MIN_RANK`` on, any other form first
-goes to ``integer_inertia``, which certifies the signs of one ``eigh``'s
-eigenvalues by congruence and a rigorous radius, ``_radius``, and also
-gives |det| (a scan's all-1/2 middle sample takes both from it).  What is
-left undecided goes to fraction-free elimination, whose primitive rows stay
-below the Bareiss minors.  From rank ``CERTIFIED_MIN_RANK`` on it runs on
+integer steps.  From rank ``CERTIFIED_MIN_RANK`` on, any other form with a
+float |det| (one ``slogdet``) of at least 1/2 goes to ``integer_inertia``,
+which certifies the signs of one ``eigh``'s eigenvalues by congruence and a
+rigorous radius, ``_radius``, and also gives |det| (a scan's all-1/2 middle
+sample takes both from it).  A nonzero integer |det| is at least 1, so the
+rest are singular but for rounding, and no certificate decides those: they
+and what is left undecided go to fraction-free elimination, whose primitive
+rows stay below the Bareiss minors.  From rank ``CERTIFIED_MIN_RANK`` on it runs on
 int64 arrays while every product fits, else on Python integers.  Both
 eigenvalue routes count signs and |det| by one rule, ``_spectrum``, and differ
 only in the margin: the threshold ``DEFAULT_TOL * max(1, max |entry|)`` or the
@@ -27,7 +29,7 @@ interlacing forces ``|delta_sigma| + |delta_eta| = 1`` for every border.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, log
 from typing import NamedTuple
 
 import numpy as np
@@ -215,7 +217,10 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
     and below Hadamard's bound.
     Any other form of rank at least ``CERTIFIED_MIN_RANK`` with entries of
     at most 2^53, in a list or any array, may be certified in floating point
-    by one ``eigh`` (:func:`integer_inertia`).  Anything else, and what the
+    by one ``eigh`` (:func:`integer_inertia`) if one ``slogdet`` of its float
+    copy gives |det| >= 1/2; below that it is singular but for rounding (a
+    nonzero integer |det| is at least 1), and the certificate decides no
+    singular form.  This only picks the route.  Anything else, and what the
     certificate leaves undecided, takes fraction-free elimination: row i of
     the working matrix is a positive multiple of row i of the current Schur
     complement, so diagonal signs are exact and no denominator is tracked.
@@ -238,7 +243,8 @@ def integer_symmetric_signature(matrix) -> SignatureResult:
     if np.count_nonzero(a) == np.count_nonzero(diagonal) + 2 * np.count_nonzero(couplings):
         return _tridiagonal(diagonal.tolist(), couplings.tolist())
     if len(a) >= CERTIFIED_MIN_RANK and a.dtype != object:
-        return integer_inertia(a)[0]
+        if np.linalg.slogdet(a.astype(float))[1] >= -log(2):  # log |det|, -inf for 0
+            return integer_inertia(a)[0]
     return _eliminate(a)
 
 
@@ -326,34 +332,37 @@ def _int64_steps(a: np.ndarray) -> tuple[int, int, np.ndarray]:
     ``p w - f row`` or the hyperbolic form, which zeroes the pivot rows and
     columns, and divides each by its gcd.  It runs only when a bound in
     Python integers on every product and difference, from |p| and the
-    largest |entry| of w, f and row, stays below 2^63, and so must every
-    |entry| of the input, read in its own dtype.  Rows keep the zero pattern
-    of the symmetric Schur complement, so ``rest`` is square.
+    largest |entry| of the updated rows (of w, in a 2 x 2 step), f and row,
+    is below 2^63, as must be every |entry| of the input in its own dtype.
+    Rows keep the zero pattern of the Schur complement: ``rest`` is square.
     """
     if not -(2**63) < int(a.min()) <= int(a.max()) < 2**63:
         return 0, 0, a
     n, positives, negatives = len(a), 0, 0
     w = a.astype(np.int64)
-    while (largest := int(np.abs(w).max())) > 0:
+    while True:
         diagonal = np.abs(w.diagonal())
         pivots = np.flatnonzero(diagonal)
         if pivots.size:
             k = pivots[diagonal[pivots].argmin()]
             p, f = int(w[k, k]), w[:, k]
             row = w[k] if p > 0 else -w[k]
+            touched = np.flatnonzero(f)
+            largest = int(np.abs(update := w[touched]).max())
             if abs(p) * largest + int(np.abs(f).max()) * int(np.abs(row).max()) >= 2**63:
                 break
-            touched = np.flatnonzero(f)
-            update = abs(p) * w[touched] - np.outer(f[touched], row)
+            update = abs(p) * update - np.outer(f[touched], row)
             if p > 0:
                 positives += 1
             else:
                 negatives += 1
         else:
-            k, l = divmod(int(np.flatnonzero(w)[0]), n)
+            if not (nonzero := np.flatnonzero(w)).size:
+                break
+            k, l = divmod(int(nonzero[0]), n)
             h_kl, h_lk = int(w[k, l]), int(w[l, k])
             h, c_l, c_k = h_kl * h_lk, w[:, k], w[:, l]
-            bound = h * largest
+            bound = h * int(np.abs(w).max())
             bound += int(np.abs(c_l).max()) * abs(h_kl) * int(np.abs(w[l]).max())
             bound += int(np.abs(c_k).max()) * abs(h_lk) * int(np.abs(w[k]).max())
             if bound >= 2**63:
@@ -362,7 +371,8 @@ def _int64_steps(a: np.ndarray) -> tuple[int, int, np.ndarray]:
             update = h * w[touched]
             update -= np.outer(c_l[touched] * h_kl, w[l]) + np.outer(c_k[touched] * h_lk, w[k])
             positives, negatives = positives + 1, negatives + 1
-        update //= np.maximum(np.gcd.reduce(update, axis=1), 1)[:, None]
+        gcds = np.gcd.reduce(update, axis=1)[:, None]
+        np.floor_divide(update, gcds, out=update, where=gcds > 1)
         w[touched] = update
     live = w.any(axis=1)
     return positives, negatives, w[np.ix_(live, live)]

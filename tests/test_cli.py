@@ -6,6 +6,7 @@ import json
 import shlex
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from linksig import catalog, invariants
 from linksig.cli import _BOUND_FLAGS, _FORMULAS, _flag, _negative_values, build_parser, main
 
-from conftest import write_mixed_system
+from conftest import known_form, unit_lower, write_mixed_system
 
 
 def run(capsys, *argv):
@@ -266,6 +267,30 @@ class TestSig:
     def test_integral_float_next_to_an_entry_beyond_2_53(self, capsys, tmp_path, one):
         path = write_mixed_system(tmp_path / "mixed.json", one)
         assert run(capsys, "sig", str(path), "--omega", "1/2") == (0, "sigma=1 eta=1\n", "")
+
+    @pytest.mark.parametrize("singular, eigh_calls", [(True, 0), (False, 1)],
+                             ids=["singular", "nonsingular"])
+    def test_dense_rank_40_form_takes_eigh_only_when_nonsingular(
+        self, capsys, tmp_path, singular, eigh_calls
+    ):
+        # H(-1,-1) = 4 (S + S^T) for the one nonzero canonical matrix S.  The
+        # singular form's float |det| is below 1/2, so it goes to elimination
+        # without the eigh certificate; the nonsingular one has |det| 2^40.
+        rng = np.random.default_rng(1)
+        if singular:
+            form, sigma, eta = known_form(rng, 40, 0)
+        else:
+            lower, d = unit_lower(rng, 40, 0.5), rng.choice([2, -2], size=40)
+            form, sigma, eta = lower @ np.diag(d) @ lower.T, int(d.sum()) // 2, 0
+        upper = np.triu(form, 1) + np.diag(np.diag(form) // 2)
+        doc = {"mu": 2, "rank": 40, "matrices": {"++": upper.tolist(), "+-": [[0] * 40] * 40}}
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            result = run(capsys, "sig", str(path), "--omega", "1/2,1/2")
+        assert result == (0, f"sigma={sigma} eta={eta}\n", "")
+        assert (eta > 0) == singular
+        assert eigh.call_count == eigh_calls
 
     def test_nan_eigenvalue_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))

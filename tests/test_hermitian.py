@@ -338,10 +338,10 @@ class TestIntegerSymmetricSignature:
         nullity = int((d == 0).sum()) + 2 * (m - r)
         expected = SignatureResult(positives - negatives, nullity, positives, negatives)
         assert integer_symmetric_signature(form) == expected
-        # The certificate declines it (eta > 0), and every step of its
-        # elimination, hyperbolic ones included, runs on int64.
-        assert handed_off(form) == (expected, (0, 1, 1), [(0, 0)])
-        assert handed_off(form.tolist()) == (expected, (0, 1, 1), [(0, 0)])
+        # Its float |det| is below 1/2 (eta > 0), so it skips the certificate,
+        # and every step of its elimination, hyperbolic ones included, runs on int64.
+        assert handed_off(form) == (expected, (0, 0, 1), [(0, 0)])
+        assert handed_off(form.tolist()) == (expected, (0, 0, 1), [(0, 0)])
 
 
 class TestBorderedDelta:
@@ -755,8 +755,9 @@ class TestIntegerInertia:
                     assert integer_symmetric_signature(m.astype(float)) == eliminated(m)
                     assert integer_symmetric_signature(m.astype(object)) == eliminated(m)
                     assert integer_symmetric_signature(m.tolist()) == eliminated(m)
-        # Both forms go to eigh, once per container.
-        assert calls == [CERTIFIED_MIN_RANK] * 8
+        # Only the definite form goes to eigh, once per container: the singular
+        # one has a zero row, so its float determinant sends it to elimination.
+        assert calls == [CERTIFIED_MIN_RANK] * 4
         assert cholesky.call_count == 0
 
 
@@ -785,7 +786,7 @@ class TestExactForm:
     ROUTES = {
         "definite-12": (lambda: cornered(tridiagonal(12, np.random.default_rng(12))), (0, 1, 0)),
         "indefinite-12": (lambda: cornered(alternating(12)), (0, 1, 0)),
-        "singular-12": (lambda: cornered(np.diag(np.arange(12) - 2)), (0, 1, 1)),
+        "singular-12": (lambda: cornered(np.diag(np.arange(12) - 2)), (0, 0, 1)),
         "rank-9": (lambda: cornered(np.diag(np.arange(9) - 2)), (0, 0, 1)),
         "tridiagonal-9": (lambda: np.diag(np.arange(9) - 2), (0, 0, 0)),
         "tridiagonal-12": (lambda: tridiagonal(12, np.random.default_rng(12)), (0, 0, 0)),
@@ -850,6 +851,55 @@ def test_definite_certificate_agrees_with_elimination(m):
     decided = certified(m)
     assert decided is None or decided == eliminated(m)
     assert integer_symmetric_signature(m) == eliminated(m)
+
+
+@st.composite
+def routed_inputs(draw):
+    """Dense forms of rank CERTIFIED_MIN_RANK or more whose float determinant
+    can mislead the route: ill-conditioned unimodular L D L^T (D = +-1, entries
+    of L up to 2^20); rank-deficient B D B^T with entries of B and D below 2^15,
+    whose float |det| is often far above 1/2; and dense forms with entries up to
+    2^53 at ranks 24 to 60."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["unimodular", "deficient", "dense"]))
+    if kind == "unimodular":
+        n, bound = draw(st.integers(CERTIFIED_MIN_RANK, 24)), 2 ** draw(st.integers(1, 20))
+        lower = np.tril(rng.integers(-bound, bound + 1, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        return lower @ np.diag(rng.choice([1, -1], size=n)) @ lower.T
+    if kind == "deficient":
+        n = draw(st.integers(CERTIFIED_MIN_RANK, 24))
+        b = rng.integers(-(2**15), 2**15, size=(n, draw(st.integers(1, n - 1))))
+        return b @ np.diag(rng.integers(-(2**15), 2**15, size=b.shape[1])) @ b.T
+    n, bound = draw(st.integers(24, 60)), 2 ** draw(st.integers(1, 53))
+    m = np.triu(rng.integers(-bound, bound + 1, size=(n, n)))
+    return m + np.triu(m, 1).T
+
+
+@settings(deadline=None, max_examples=100)
+@given(routed_inputs())
+def test_float_determinant_only_picks_the_route(m):
+    assert integer_symmetric_signature(m) == eliminated(m)
+
+
+def test_nonsingular_form_with_a_singular_float_copy_goes_to_elimination():
+    # det [[2^54 + 1, 2^27], [2^27, 1]] = 1, but 2^54 + 1 reads as 2^54 in
+    # floats, whose LU then finds an exact zero pivot.
+    m = np.zeros((12, 12), dtype=np.int64)
+    m[:2, :2] = [[2**54 + 1, 2**27], [2**27, 1]]
+    m[2:, 2:] = cornered(alternating(10))
+    assert np.linalg.slogdet(m.astype(float))[0] == 0
+    for container in (lambda m: m, np.ndarray.tolist, lambda m: m.astype(object)):
+        assert routes(container(m)) == (eliminated(m), (0, 0, 1))
+    assert eliminated(m).nullity == 0
+
+
+def test_singular_form_with_a_large_float_determinant_is_declined_by_eigh():
+    # Float rounding can leave a singular form's |det| far above 1/2 (the
+    # rank-deficient draws above often do, depending on the BLAS kernels).
+    m = cornered(np.diag(np.arange(12) - 2))
+    with mock.patch.object(np.linalg, "slogdet", lambda f: (1.0, 0.0)):
+        assert routes(m) == (eliminated(m), (0, 1, 1))
+    assert eliminated(m).nullity == 1
 
 
 @st.composite
